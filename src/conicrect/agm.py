@@ -1,12 +1,11 @@
 """Arithmetic-geometric mean and elliptic integral kernels.
 
-The complete integral of the first kind comes from the AGM of (1, k'); the
-second kind descends the modulus quadratically, seeds a short hypergeometric
-series, and ascends back through the two-ellipse identity.  The incomplete
-first kind uses the descending modulus recursion with the matching amplitude
-updates.  Every kernel is later cross-checked against the quadrature oracle,
-which it never calls for its own result, except for the incomplete second
-kind where correctness was preferred over a bespoke recursion.
+The complete integrals come from the AGM of (1, k'): K = pi / (2 M(1, k'))
+and E by the Gauss-Legendre sum over the same iterates.  The incomplete
+integrals of both kinds share one descending modulus recursion with the
+matching amplitude updates, which is the AGM with amplitudes written on the
+modulus (Abramowitz & Stegun 17.6).  No kernel calls the quadrature oracle,
+so every cross-check against it compares two independent routes.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate
+from .quadrature import Tolerance
 
 __all__ = [
     "AgmSequence",
@@ -87,10 +86,6 @@ def _descend_modulus(k: float) -> float:
     return r * r
 
 
-def _ascend_modulus(k: float) -> float:
-    return 2.0 * math.sqrt(k) / (1.0 + k)
-
-
 def _amplitude_step(phi: float, k: float) -> float:
     """New amplitude after one descending modulus step.
 
@@ -107,11 +102,11 @@ def _amplitude_step(phi: float, k: float) -> float:
 def agm(p0: float, q0: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> AgmSequence:
     """Arithmetic-geometric mean iteration with full history.
 
-    Inputs must be positive; if p0 < q0 they are swapped and the swap is
-    recorded.  Terminates when |p_n - q_n| <= max(abs_tol, rel_tol * p_n).
+    Inputs must be positive and finite; if p0 < q0 they are swapped and the
+    swap is recorded.  Terminates when |p_n - q_n| <= max(abs_tol, rel_tol * p_n).
     """
-    if p0 <= 0.0 or q0 <= 0.0:
-        raise DomainError(f"agm requires positive inputs, got p0={p0!r}, q0={q0!r}")
+    if not (0.0 < p0 < math.inf and 0.0 < q0 < math.inf):
+        raise DomainError(f"agm requires positive finite inputs, got p0={p0!r}, q0={q0!r}")
     swapped = p0 < q0
     if swapped:
         p0, q0 = q0, p0
@@ -152,82 +147,78 @@ def complete_K(k: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> float:
     return 0.5 * math.pi / agm(1.0, complement(k), tol).limit
 
 
-def complete_E(k: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> float:
+def complete_E(k: float) -> float:
     """Complete elliptic integral of the second kind.
 
-    Descends the modulus until it drops below 1e-3, seeds K and E with the
-    hypergeometric series, then ascends back through
-    E(k_hat) = (E(k) - (1 - k^2)/2 * K(k)) * 2/(1 + k) with k_hat = 2 sqrt(k)/(1 + k).
+    Gauss-Legendre: E = K (1 - sum_n 2^(n-1) c_n^2) over the AGM iterates
+    (a_n, b_n) of (1, k'), with c_0 = k and c_(n+1) = (a_n - b_n)/2.
     """
     _check_modulus(k, allow_one=True)
     if k == 0.0:
         return 0.5 * math.pi
     if k == 1.0:
         return 1.0
-    chain = [k]
-    while chain[-1] >= 1e-3:
-        chain.append(_descend_modulus(chain[-1]))
-        if len(chain) > 60:
-            raise ConvergenceError("modulus descent failed to reach the series regime")
-    k_small = chain[-1]
-    e_val = series_KE("E", k_small, 10)
-    k_val = series_KE("K", k_small, 10)
-    for i in range(len(chain) - 2, -1, -1):
-        kd = chain[i + 1]
-        e_val = (e_val - 0.5 * (1.0 - kd * kd) * k_val) * 2.0 / (1.0 + kd)
-        k_val = (1.0 + kd) * k_val
-    return e_val
+    seq = agm(1.0, complement(k))
+    weight = 0.5
+    total = weight * k * k
+    for a, b in seq.iterates[:-1]:
+        c = 0.5 * (a - b)
+        weight *= 2.0
+        total += weight * c * c
+    return 0.5 * math.pi / seq.limit * (1.0 - total)
 
 
-def incomplete_F(
-    phi: float, k: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE
-) -> float:
-    """Incomplete elliptic integral of the first kind F(phi, k).
+def _descend(phi: float, k: float) -> tuple[float, float]:
+    """F(phi, k) and E(phi, k) by one descending modulus recursion.
 
-    Descending recursion: F(phi, k) = (1 + k1)/2 * F(phi1, k1) with
-    k1 = (1 - k')/(1 + k') and phi1 the matching amplitude, iterated until
-    the modulus drops below 1e-10 where F(phi, k) ~ phi * (1 + k^2/4).
+    F(phi, k) = (1 + k1)/2 * F(phi1, k1) with k1 = (1 - k')/(1 + k') and phi1
+    the matching amplitude, iterated until the modulus drops below 1e-10
+    where F(phi, k) ~ phi * (1 + k^2/4).  On the AGM scale a_0 = 1 the same
+    steps give a_(n+1) = a_n (1 + k'_n)/2 and c_n = k_n a_n, and
+    E = F (1 - sum_n 2^(n-1) c_n^2) + sum_n c_n sin(phi_n).
     """
-    _check_amplitude(phi)
-    _check_modulus(k)
     factor = 1.0
     cur_phi = phi
     cur_k = k
+    a = 1.0
+    weight = 0.5
+    squares = weight * k * k
+    sines = 0.0
     steps = 0
     while cur_k > _F_MODULUS_FLOOR:
+        a *= 0.5 * (1.0 + complement(cur_k))
         cur_k = _descend_modulus(cur_k)
         cur_phi = _amplitude_step(cur_phi, cur_k)
         factor *= 0.5 * (1.0 + cur_k)
+        c = cur_k * a
+        weight *= 2.0
+        squares += weight * c * c
+        sines += c * math.sin(cur_phi)
         steps += 1
         if steps > 60:
             raise ConvergenceError("modulus descent failed to reach the floor")
-    return factor * cur_phi * (1.0 + 0.25 * cur_k * cur_k)
+    f_val = factor * cur_phi * (1.0 + 0.25 * cur_k * cur_k)
+    return f_val, f_val * (1.0 - squares) + sines
 
 
-def incomplete_E(
-    phi: float, k: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
-    """Incomplete elliptic integral of the second kind, by direct quadrature.
+def incomplete_F(phi: float, k: float) -> float:
+    """Incomplete elliptic integral of the first kind F(phi, k), 0 <= k < 1."""
+    _check_amplitude(phi)
+    _check_modulus(k)
+    return _descend(phi, k)[0]
 
-    The integrand sqrt(1 - k^2 sin^2) is smooth on [0, pi/2] for k <= 1, so
-    the oracle tolerance is passed straight through.
+
+def incomplete_E(phi: float, k: float) -> float:
+    """Incomplete elliptic integral of the second kind E(phi, k), 0 <= k <= 1.
+
+    Shares the descending recursion of ``incomplete_F``; at k = 1 the
+    integral is sin(phi) in closed form.
     """
     _check_amplitude(phi)
     _check_modulus(k, allow_one=True)
-    if phi == 0.0:
-        return 0.0
-    if k == 0.0:
-        return phi
-    m = k * k
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        return math.sqrt(max(1.0 - m * s * s, 0.0))
-
-    result = integrate(integrand, 0.0, phi, tol)
-    if not result.converged:
-        raise ConvergenceError("incomplete_E quadrature did not converge")
-    return result.value
+    if k == 1.0:
+        return math.sin(phi)
+    return _descend(phi, k)[1]
 
 
 def series_KE(kind: str, k: float, terms: int) -> float:
@@ -273,8 +264,8 @@ def lemniscate(radius: float) -> LemniscateArcs:
     quarter_arc = (R/sqrt(2)) K(1/sqrt(2)); full_arc = 2 pi R / M(1, sqrt(2));
     gauss_constant = 1/M(1, sqrt(2)).
     """
-    if radius <= 0.0:
-        raise DomainError(f"radius must be positive, got {radius!r}")
+    if not 0.0 < radius < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {radius!r}")
     limit = agm(1.0, math.sqrt(2.0)).limit
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return LemniscateArcs(

@@ -59,9 +59,9 @@ class Hyperbola:
     b: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0 or self.b <= 0.0:
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise DomainError(
-                f"hyperbola semiaxes must be positive, got a={self.a!r}, b={self.b!r}"
+                f"hyperbola semiaxes must be positive and finite, got a={self.a!r}, b={self.b!r}"
             )
 
     @property
@@ -92,9 +92,9 @@ class Ellipse:
     b: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0 or self.b <= 0.0:
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise DomainError(
-                f"ellipse semiaxes must be positive, got a={self.a!r}, b={self.b!r}"
+                f"ellipse semiaxes must be positive and finite, got a={self.a!r}, b={self.b!r}"
             )
 
     @property

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .agm import (
     _amplitude_step,
-    _ascend_modulus,
     _descend_modulus,
     complete_E,
     complete_K,
@@ -90,7 +89,7 @@ def modulus_ascend(k: float) -> float:
     """Ascending map k -> 2 sqrt(k)/(1+k); fixed points at 0 and 1."""
     if not 0.0 <= k <= 1.0:
         raise DomainError(f"modulus must lie in [0, 1], got {k!r}")
-    return _ascend_modulus(k)
+    return 2.0 * math.sqrt(k) / (1.0 + k)
 
 
 def modulus_descend(k_hat: float) -> float:

@@ -10,17 +10,25 @@ from hypothesis import strategies as st
 from conicrect import (
     ConvergenceError,
     DomainError,
+    Hyperbola,
     Tolerance,
     agm,
+    check_borwein,
+    check_gleichung,
     complete_E,
     complete_K,
+    excess_infinity_closed,
+    excess_infinity_landen,
     incomplete_E,
     incomplete_F,
     integrate,
     lemniscate,
+    semiaxes_to_pair,
     series_KE,
     series_truncation_bound,
 )
+from conicrect import quadrature
+from conicrect.agm import complement
 
 HALF_PI = 0.5 * math.pi
 
@@ -91,6 +99,11 @@ class TestAgm:
             agm(-1.0, 1.0)
         with pytest.raises(DomainError):
             agm(1.0, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                agm(bad, 1.0)
+            with pytest.raises(DomainError):
+                agm(1.0, bad)
 
     def test_max_iter_reported(self):
         with pytest.raises(ConvergenceError):
@@ -209,6 +222,11 @@ class TestIncompleteE:
             ).value
             assert abs(incomplete_E(phi, k) - o) < 1e-12
 
+    def test_near_one_modulus_pinned(self):
+        # mpmath 1.3.0, 40 digits: ellipe(pi/2, (1 - 1e-12)^2)
+        expected = 1.0000000000143549248
+        assert abs(incomplete_E(HALF_PI, 1.0 - 1e-12) - expected) <= 1e-14 * expected
+
 
 class TestSeries:
     def test_zero_modulus(self):
@@ -257,5 +275,41 @@ class TestLemniscate:
         assert abs(lhs - rhs) < 1e-12
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            lemniscate(0.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                lemniscate(bad)
+
+
+class OracleCalled(Exception):
+    pass
+
+
+def test_kernels_never_reach_the_oracle(monkeypatch):
+    # integrate looks _gauss_kronrod up at call time, so this catches any route
+    def refuse(*args, **kwargs):
+        raise OracleCalled
+
+    monkeypatch.setattr(quadrature, "_gauss_kronrod", refuse)
+    with pytest.raises(OracleCalled):
+        integrate(math.sin, 0.0, 1.0)
+    for k in (0.0, 1e-8, 0.7, 1.0 - 1e-12):
+        complete_K(k)
+        complete_E(k)
+        series_KE("K", k, 20)
+        series_KE("E", k, 20)
+        check_borwein(k)
+        for phi in (0.3, HALF_PI):
+            incomplete_F(phi, k)
+            incomplete_E(phi, k)
+            if k < 1.0 - 1e-12:
+                check_gleichung(phi, k)
+            else:  # the ascended modulus rounds to 1, outside F's domain
+                with pytest.raises(DomainError):
+                    check_gleichung(phi, k)
+        if k > 0.0:
+            H = Hyperbola(k, complement(k))  # modulus a / sqrt(a^2 + b^2) = k
+            excess_infinity_closed(H)
+            excess_infinity_landen(semiaxes_to_pair(H.a, H.b))
+    complete_E(1.0)
+    incomplete_E(HALF_PI, 1.0)
+    lemniscate(1.0)

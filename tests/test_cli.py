@@ -200,5 +200,22 @@ class TestConstructVerb:
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemniscate", "--radius", "nan"],
+        ["lemniscate", "--radius", "inf"],
+        ["agm", "--p", "nan", "--q", "1"],
+        ["agm", "--p", "1", "--q", "inf"],
+    ],
+)
+def test_non_finite_input_is_a_domain_error(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("domain error:")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-verb"]) == 2

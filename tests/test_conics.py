@@ -87,6 +87,12 @@ class TestTypes:
     def test_domain(self):
         with pytest.raises(DomainError):
             Hyperbola(0.0, 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for conic in (Hyperbola, Ellipse):
+                with pytest.raises(DomainError):
+                    conic(bad, 1.0)
+                with pytest.raises(DomainError):
+                    conic(1.0, bad)
         with pytest.raises(DomainError):
             LandenPair(1.0, 1.0)  # circle: no nonzero pedal tangent
         with pytest.raises(DomainError):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -42,14 +41,6 @@ from .errors import ConvergenceError, DomainError
 from .quadrature import Tolerance
 
 SCHEMA_VERSION = 1
-
-CHECK_DEFAULT_TOL = {
-    "gleichung": 1e-12,
-    "borwein": 1e-12,
-    "agm-invariance": 1e-10,
-    "landen-theorem": 1e-9,
-    "fagnano": 1e-9,
-}
 
 
 @dataclass
@@ -89,114 +80,130 @@ def _emit(report: RunReport, as_json: bool) -> None:
     print(report.to_json() if as_json else report.to_plain())
 
 
-def _cmd_agm(args: argparse.Namespace) -> int:
-    tol = (
-        Tolerance(abs_tol=args.tol, rel_tol=0.0, max_iter=60)
-        if args.tol is not None
-        else DEFAULT_AGM_TOLERANCE
-    )
-    seq = agm(args.p, args.q, tol)
-    report = RunReport(
-        op="agm",
-        inputs={"p": args.p, "q": args.q},
-        values={
-            "limit": seq.limit,
-            "iterates": [[pn, qn] for pn, qn in seq.iterates],
+def _hyperbola(v: dict[str, float]) -> _conics.Hyperbola:
+    """The hyperbola given by its semiaxes (a, b) or by its Landen pair (m, n)."""
+    return _conics.Hyperbola(v["a"], v["b"]) if "a" in v else _pair(v).hyperbola
+
+
+def _pair(v: dict[str, float]) -> _conics.LandenPair:
+    """The Landen pair given as (m, n) or by its hyperbola's semiaxes (a, b)."""
+    if "m" in v:
+        return _conics.LandenPair(v["m"], v["n"])
+    return _conics.semiaxes_to_pair(v["a"], v["b"])
+
+
+def _agm_row(v: dict[str, float]) -> dict[str, float]:
+    seq = agm(v["p"], v["q"])
+    return {"limit": seq.limit, "iterations": float(seq.iterations)}
+
+
+# Op name -> (parameter names, function from their values to named outputs).
+# The verb form ``V K`` is the op ``V-K``, and ``table --op`` takes the same
+# names.  Kernels are looked up by module-global name each time an op runs,
+# never stored, so rebinding a module attribute reaches every verb and table.
+OPS = {
+    "agm": (("p", "q"), _agm_row),
+    "ellint-K": (("k",), lambda v: {"value": complete_K(v["k"])}),
+    "ellint-E": (("k",), lambda v: {"value": complete_E(v["k"])}),
+    "ellint-F": (("k", "phi"), lambda v: {"value": incomplete_F(v["phi"], v["k"])}),
+    "ellint-Einc": (("k", "phi"), lambda v: {"value": incomplete_E(v["phi"], v["k"])}),
+    "excess-closed": (
+        ("a", "b"),
+        lambda v: {"value": _conics.excess_infinity_closed(_hyperbola(v))},
+    ),
+    "excess-series": (
+        ("a", "b", "terms"),
+        lambda v: {"value": _conics.excess_infinity_series(_hyperbola(v), v["terms"])},
+    ),
+    "excess-landen": (("m", "n"), lambda v: {"value": _conics.excess_infinity_landen(_pair(v))}),
+    "excess-finite": (
+        ("a", "b", "p"),
+        lambda v: {"value": _conics.excess_finite(_hyperbola(v), v["p"])},
+    ),
+    "tangent-length": (
+        ("m", "n", "x"),
+        lambda v: {
+            "value": _conics.ellipse_tangent_length(_conics.Ellipse(v["m"], v["n"]), v["x"])
         },
-        iterations=seq.iterations,
-        flags=["inputs-swapped"] if seq.swapped else [],
-    )
-    _emit(report, args.json)
+    ),
+    "lemniscate": (("radius",), lambda v: asdict(lemniscate(v["radius"]))),
+}
+
+# ``excess series --terms`` is the one integer flag, 3 when omitted.  ``table``
+# fixes and sweeps floats only, so it takes every op but that one.
+_DEFAULTS = {"terms": 3}
+_TABLE_OPS = [op for op, (params, _) in OPS.items() if "terms" not in params]
+_SEMIAXES, _PAIR = ("a", "b"), ("m", "n")
+
+# Check name -> (parameter names, default residual budget, function to its report).
+CHECKS = {
+    "gleichung": (("phi", "k"), 1e-12, lambda v: _landen.check_gleichung(v["phi"], v["k"])),
+    "borwein": (("k",), 1e-12, lambda v: _landen.check_borwein(v["k"])),
+    "agm-invariance": (
+        ("x", "p", "q"),
+        1e-10,
+        lambda v: _landen.check_agm_invariance(v["x"], v["p"], v["q"]),
+    ),
+    "landen-theorem": (
+        ("m", "n", "t"),
+        1e-9,
+        lambda v: _conics.landen_theorem_check(_pair(v), v["t"])[1],
+    ),
+    "fagnano": (("m", "n", "t"), 1e-9, lambda v: _conics.fagnano_check(_pair(v), v["t"])),
+}
+
+
+def _take(args: argparse.Namespace, op: str, names: tuple[str, ...]) -> dict[str, float]:
+    """The values of ``names`` among the flags.  A missing one, or a flag
+    given that is not among them, is a DomainError."""
+    for flag in args.op_flags:
+        if flag not in names and getattr(args, flag) is not None:
+            raise DomainError(f"{op} does not take --{flag}")
+    values = {}
+    for name in names:
+        value = getattr(args, name)
+        if value is None:
+            value = _DEFAULTS.get(name)
+        if value is None:
+            raise DomainError(f"{op} requires --{name}")
+        values[name] = value
+    return values
+
+
+def _cmd_agm(args: argparse.Namespace) -> int:
+    tol = DEFAULT_AGM_TOLERANCE
+    if args.tol is not None:
+        tol = Tolerance(abs_tol=args.tol, rel_tol=0.0, max_iter=60)
+    seq = agm(args.p, args.q, tol)
+    values = {"limit": seq.limit, "iterates": [[pn, qn] for pn, qn in seq.iterates]}
+    flags = ["inputs-swapped"] if seq.swapped else []
+    inputs = {"p": args.p, "q": args.q}
+    _emit(RunReport("agm", inputs, values, iterations=seq.iterations, flags=flags), args.json)
     return 0
 
 
-def _cmd_ellint(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind in ("F", "Einc") and args.phi is None:
-        raise DomainError(f"ellint {kind} requires --phi")
-    if kind == "K":
-        value = complete_K(args.k)
-        inputs = {"k": args.k}
-    elif kind == "E":
-        value = complete_E(args.k)
-        inputs = {"k": args.k}
-    elif kind == "F":
-        value = incomplete_F(args.phi, args.k)
-        inputs = {"k": args.k, "phi": args.phi}
-    else:
-        value = incomplete_E(args.phi, args.k)
-        inputs = {"k": args.k, "phi": args.phi}
-    _emit(RunReport(op=f"ellint-{kind}", inputs=inputs, values={"value": value}), args.json)
-    return 0
-
-
-def _semiaxes_from_args(args: argparse.Namespace) -> tuple[float, float, dict[str, float]]:
-    has_ab = args.a is not None and args.b is not None
-    has_mn = args.m is not None and args.n is not None
-    if has_ab == has_mn:
-        raise DomainError("provide exactly one of (--a, --b) or (--m, --n)")
-    if has_ab:
-        return args.a, args.b, {"a": args.a, "b": args.b}
-    pair = _conics.LandenPair(args.m, args.n)
-    a, b = _conics.pair_to_semiaxes(pair)
-    return a, b, {"m": args.m, "n": args.n}
-
-
-def _cmd_excess(args: argparse.Namespace) -> int:
-    a, b, inputs = _semiaxes_from_args(args)
-    hyp = _conics.Hyperbola(a, b)
-    flags: list[str] = []
-    if args.variant == "closed":
-        value = _conics.excess_infinity_closed(hyp)
-    elif args.variant == "series":
-        inputs["terms"] = args.terms
-        value = _conics.excess_infinity_series(hyp, args.terms)
-    elif args.variant == "landen":
-        value = _conics.excess_infinity_landen(_conics.semiaxes_to_pair(a, b))
-    else:
-        if args.p is None:
-            raise DomainError("excess finite requires --p")
-        inputs["p"] = args.p
-        if _conics.pedal_in_guard_band(hyp, args.p):
-            flags.append("pedal-distance-in-guard-band")
-        value = _conics.excess_finite(hyp, args.p)
-    _emit(
-        RunReport(op=f"excess-{args.variant}", inputs=inputs, values={"value": value}, flags=flags),
-        args.json,
-    )
-    return 0
-
-
-def _cmd_lemniscate(args: argparse.Namespace) -> int:
-    arcs = lemniscate(args.radius)
-    _emit(
-        RunReport(
-            op="lemniscate",
-            inputs={"radius": args.radius},
-            values={
-                "quarter_arc": arcs.quarter_arc,
-                "full_arc": arcs.full_arc,
-                "gauss_constant": arcs.gauss_constant,
-            },
-        ),
-        args.json,
-    )
+def _cmd_op(args: argparse.Namespace) -> int:
+    op = f"{args.verb}-{args.kind}" if "kind" in args else args.verb
+    params, fn = OPS[op]
+    if args.verb == "excess":
+        # the hyperbola comes as its semiaxes or as its Landen pair, not both
+        given = [g for g in (_SEMIAXES, _PAIR) if any(getattr(args, x) is not None for x in g)]
+        if len(given) != 1:
+            raise DomainError("provide exactly one of (--a, --b) or (--m, --n)")
+        params = (*given[0], *(x for x in params if x not in _SEMIAXES + _PAIR))
+    inputs = _take(args, op, params)
+    values = fn(inputs)
+    flags = []
+    if op == "excess-finite" and _conics.pedal_in_guard_band(_hyperbola(inputs), inputs["p"]):
+        flags.append("pedal-distance-in-guard-band")
+    _emit(RunReport(op, inputs, values, flags=flags), args.json)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "gleichung":
-        report = _landen.check_gleichung(args.phi, args.k)
-    elif name == "borwein":
-        report = _landen.check_borwein(args.k)
-    elif name == "agm-invariance":
-        report = _landen.check_agm_invariance(args.x, args.p, args.q)
-    elif name == "landen-theorem":
-        _, report = _conics.landen_theorem_check(_conics.LandenPair(args.m, args.n), args.t)
-    else:
-        report = _conics.fagnano_check(_conics.LandenPair(args.m, args.n), args.t)
-    tol = args.tol if args.tol is not None else CHECK_DEFAULT_TOL[name]
+    params, budget, fn = CHECKS[args.name]
+    report = fn({name: getattr(args, name) for name in params})
+    tol = args.tol if args.tol is not None else budget
     passed = report.within(tol)
     verdict = "PASS" if passed else "FAIL"
     inputs = ", ".join(f"{k}={v!r}" for k, v in report.inputs.items())
@@ -207,74 +214,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-_TABLE_OPS: dict[str, tuple[tuple[str, ...], object]] = {}
-
-
-def _table_op(name: str, params: tuple[str, ...]):
-    def wrap(fn):
-        _TABLE_OPS[name] = (params, fn)
-        return fn
-
-    return wrap
-
-
-@_table_op("agm", ("p", "q"))
-def _table_agm(v: dict[str, float]) -> dict[str, float]:
-    seq = agm(v["p"], v["q"])
-    return {"limit": seq.limit, "iterations": float(seq.iterations)}
-
-
-@_table_op("ellint-K", ("k",))
-def _table_k(v: dict[str, float]) -> dict[str, float]:
-    return {"value": complete_K(v["k"])}
-
-
-@_table_op("ellint-E", ("k",))
-def _table_e(v: dict[str, float]) -> dict[str, float]:
-    return {"value": complete_E(v["k"])}
-
-
-@_table_op("ellint-F", ("k", "phi"))
-def _table_f(v: dict[str, float]) -> dict[str, float]:
-    return {"value": incomplete_F(v["phi"], v["k"])}
-
-
-@_table_op("ellint-Einc", ("k", "phi"))
-def _table_einc(v: dict[str, float]) -> dict[str, float]:
-    return {"value": incomplete_E(v["phi"], v["k"])}
-
-
-@_table_op("excess-closed", ("a", "b"))
-def _table_excess_closed(v: dict[str, float]) -> dict[str, float]:
-    return {"value": _conics.excess_infinity_closed(_conics.Hyperbola(v["a"], v["b"]))}
-
-
-@_table_op("excess-landen", ("m", "n"))
-def _table_excess_landen(v: dict[str, float]) -> dict[str, float]:
-    return {"value": _conics.excess_infinity_landen(_conics.LandenPair(v["m"], v["n"]))}
-
-
-@_table_op("excess-finite", ("a", "b", "p"))
-def _table_excess_finite(v: dict[str, float]) -> dict[str, float]:
-    return {"value": _conics.excess_finite(_conics.Hyperbola(v["a"], v["b"]), v["p"])}
-
-
-@_table_op("tangent-length", ("m", "n", "x"))
-def _table_tangent(v: dict[str, float]) -> dict[str, float]:
-    return {"value": _conics.ellipse_tangent_length(_conics.Ellipse(v["m"], v["n"]), v["x"])}
-
-
-@_table_op("lemniscate", ("radius",))
-def _table_lemniscate(v: dict[str, float]) -> dict[str, float]:
-    arcs = lemniscate(v["radius"])
-    return {
-        "quarter_arc": arcs.quarter_arc,
-        "full_arc": arcs.full_arc,
-        "gauss_constant": arcs.gauss_constant,
-    }
-
-
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise DomainError(f"sweep must be finite, got from {start!r} to {stop!r} step {step!r}")
     if step <= 0.0:
         raise DomainError(f"step must be positive, got {step!r}")
     if stop < start:
@@ -285,46 +227,20 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.op not in _TABLE_OPS:
-        raise DomainError(
-            f"unknown table op {args.op!r}; choose from {sorted(_TABLE_OPS)}"
-        )
-    params, fn = _TABLE_OPS[args.op]
+        raise DomainError(f"unknown table op {args.op!r}; choose from {sorted(_TABLE_OPS)}")
+    params, fn = OPS[args.op]
     if args.sweep not in params:
         raise DomainError(f"op {args.op!r} sweeps one of {params}, got {args.sweep!r}")
-    fixed: dict[str, float] = {}
-    for name in params:
-        if name == args.sweep:
-            continue
-        value = getattr(args, name, None)
-        if value is None:
-            raise DomainError(f"op {args.op!r} requires --{name}")
-        fixed[name] = value
-    rows = []
-    for v in _sweep_values(args.sweep_from, args.sweep_to, args.step):
-        point = dict(fixed)
-        point[args.sweep] = v
-        rows.append((v, point, fn(point)))
-    header = [args.sweep, *fixed.keys(), *rows[0][2].keys()]
+    fixed = _take(args, args.op, tuple(name for name in params if name != args.sweep))
+    sweep = _sweep_values(args.sweep_from, args.sweep_to, args.step)
+    rows = [{**point, **fn(point)} for point in ({args.sweep: v, **fixed} for v in sweep)]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for v, point, outputs in rows:
-            writer.writerow(
-                [repr(v)] + [repr(point[name]) for name in fixed] + [repr(o) for o in outputs.values()]
-            )
-        sys.stdout.write(buf.getvalue())
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(rows[0])
+        writer.writerows([repr(x) for x in row.values()] for row in rows)
     else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "op": args.op,
-            "sweep": args.sweep,
-            "rows": [
-                {args.sweep: v, **{k: point[k] for k in fixed}, **outputs}
-                for v, point, outputs in rows
-            ],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        payload = {"op": args.op, "sweep": args.sweep, "rows": rows}
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True))
     return 0
 
 
@@ -338,6 +254,17 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         raise DomainError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.out}")
     return 0
+
+
+def _add_op_flags(parser: argparse.ArgumentParser, ops: list[str]) -> None:
+    """One flag per parameter of ``ops``; ``_take`` checks what each op needs."""
+    flags = tuple(dict.fromkeys(name for op in ops for name in OPS[op][0]))
+    for name in flags:
+        if name == "terms":
+            parser.add_argument("--terms", type=int, choices=[1, 2, 3])
+        else:
+            parser.add_argument(f"--{name}", type=float)
+    parser.set_defaults(op_flags=flags)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,63 +281,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_agm.add_argument("--json", action="store_true")
     p_agm.set_defaults(func=_cmd_agm)
 
-    p_ell = sub.add_parser("ellint", help="complete/incomplete elliptic integrals")
-    p_ell.add_argument("kind", choices=["K", "E", "F", "Einc"])
-    p_ell.add_argument("--k", type=float, required=True)
-    p_ell.add_argument("--phi", type=float, default=None)
-    p_ell.add_argument("--json", action="store_true")
-    p_ell.set_defaults(func=_cmd_ellint)
-
-    p_exc = sub.add_parser("excess", help="hyperbolic excess in its four forms")
-    p_exc.add_argument("variant", choices=["closed", "series", "landen", "finite"])
-    p_exc.add_argument("--a", type=float, default=None)
-    p_exc.add_argument("--b", type=float, default=None)
-    p_exc.add_argument("--m", type=float, default=None)
-    p_exc.add_argument("--n", type=float, default=None)
-    p_exc.add_argument("--terms", type=int, default=3, choices=[1, 2, 3])
-    p_exc.add_argument("--p", type=float, default=None)
-    p_exc.add_argument("--json", action="store_true")
-    p_exc.set_defaults(func=_cmd_excess)
+    for verb, help_text in (
+        ("ellint", "complete/incomplete elliptic integrals"),
+        ("excess", "hyperbolic excess in its four forms"),
+        ("lemniscate", "lemniscate arc lengths"),
+    ):
+        ops = [op for op in OPS if op.partition("-")[0] == verb]
+        p_op = sub.add_parser(verb, help=help_text)
+        if ops != [verb]:
+            p_op.add_argument("kind", choices=[op.partition("-")[2] for op in ops])
+        _add_op_flags(p_op, ops)
+        p_op.add_argument("--json", action="store_true")
+        p_op.set_defaults(func=_cmd_op)
 
     p_chk = sub.add_parser("check", help="residual checks; exit 0 iff within tolerance")
     chk_sub = p_chk.add_subparsers(dest="name", required=True)
-    c = chk_sub.add_parser("gleichung")
-    c.add_argument("--phi", type=float, required=True)
-    c.add_argument("--k", type=float, required=True)
-    c.add_argument("--tol", type=float, default=None)
-    c.set_defaults(func=_cmd_check)
-    c = chk_sub.add_parser("borwein")
-    c.add_argument("--k", type=float, required=True)
-    c.add_argument("--tol", type=float, default=None)
-    c.set_defaults(func=_cmd_check)
-    c = chk_sub.add_parser("agm-invariance")
-    c.add_argument("--x", type=float, required=True)
-    c.add_argument("--p", type=float, required=True)
-    c.add_argument("--q", type=float, required=True)
-    c.add_argument("--tol", type=float, default=None)
-    c.set_defaults(func=_cmd_check)
-    for name in ("landen-theorem", "fagnano"):
+    for name, (params, budget, _) in CHECKS.items():
         c = chk_sub.add_parser(name)
-        c.add_argument("--m", type=float, required=True)
-        c.add_argument("--n", type=float, required=True)
-        c.add_argument("--t", type=float, required=True)
-        c.add_argument("--tol", type=float, default=None)
+        for param in params:
+            c.add_argument(f"--{param}", type=float, required=True)
+        c.add_argument("--tol", type=float, default=None, help=f"default {budget!r}")
         c.set_defaults(func=_cmd_check)
 
-    p_lem = sub.add_parser("lemniscate", help="lemniscate arc lengths")
-    p_lem.add_argument("--radius", type=float, required=True)
-    p_lem.add_argument("--json", action="store_true")
-    p_lem.set_defaults(func=_cmd_lemniscate)
-
-    p_tab = sub.add_parser("table", help="sweep one flag of an op into CSV or JSON")
+    # no abbreviated flags: a stray --t would otherwise pass for --to
+    p_tab = sub.add_parser(
+        "table", help="sweep one flag of an op into CSV or JSON", allow_abbrev=False
+    )
     p_tab.add_argument("--op", required=True)
     p_tab.add_argument("--sweep", required=True)
     p_tab.add_argument("--from", dest="sweep_from", type=float, required=True)
     p_tab.add_argument("--to", dest="sweep_to", type=float, required=True)
     p_tab.add_argument("--step", type=float, required=True)
     p_tab.add_argument("--format", choices=["csv", "json"], default="csv")
-    for name in ("a", "b", "k", "m", "n", "p", "q", "phi", "radius", "t", "x"):
-        p_tab.add_argument(f"--{name}", type=float, default=None)
+    _add_op_flags(p_tab, _TABLE_OPS)
     p_tab.set_defaults(func=_cmd_table)
 
     p_con = sub.add_parser("construct", help="render the rectification figure as SVG")

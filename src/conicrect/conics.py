@@ -161,8 +161,8 @@ class ExcessBreakdown:
 
 def semiaxes_to_pair(a: float, b: float) -> LandenPair:
     """Invert a = m - n, b = 2 sqrt(mn):  m = (sqrt(a^2+b^2) + a)/2, n = b^2/(4m)."""
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"semiaxes must be positive, got a={a!r}, b={b!r}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"semiaxes must be positive and finite, got a={a!r}, b={b!r}")
     m = 0.5 * (math.hypot(a, b) + a)
     # n = (sqrt(a^2+b^2) - a)/2 in the cancellation-free form b^2/(4m)
     n = b * b / (4.0 * m)
@@ -276,7 +276,7 @@ def ellipse_tangent_length(E: Ellipse, x: float) -> float:
     """
     if E.a < E.b:
         raise DomainError("tangent length defined for a >= b; swap the axes")
-    if x < 0.0 or x > E.a * (1.0 + 1e-12):
+    if not 0.0 <= x <= E.a * (1.0 + 1e-12):
         raise DomainError(f"abscissa must lie in [0, a] = [0, {E.a!r}], got {x!r}")
     g = E.g
     a2 = E.a * E.a

@@ -82,6 +82,8 @@ class ResidualReport:
         object.__setattr__(self, "residual", abs(self.lhs - self.rhs))
 
     def within(self, tolerance: float) -> bool:
+        if not 0.0 <= tolerance < math.inf:
+            raise DomainError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
         return self.residual <= tolerance
 
 
@@ -170,7 +172,7 @@ def upper_limit(x: float, params: LagrangeParams) -> float:
     is algebraically identical and stable for small x.
     """
     p, q = params.p, params.q
-    if x < 0.0 or x * p > 1.0 + 1e-12:
+    if not (0.0 <= x and x * p <= 1.0 + 1e-12):
         raise DomainError(f"x must lie in [0, 1/p] = [0, {1.0 / p!r}], got {x!r}")
     a = max((1.0 - p * x) * (1.0 + p * x), 0.0)
     b = max((1.0 - q * x) * (1.0 + q * x), 0.0)
@@ -219,7 +221,7 @@ def check_agm_invariance(
     """
     if not 0.0 < q < p:
         raise DomainError(f"requires 0 < q < p, got p={p!r}, q={q!r}")
-    if x < 0.0 or x * p > 1.0 + 1e-12:
+    if not (0.0 <= x and x * p <= 1.0 + 1e-12):
         raise DomainError(f"x must lie in [0, 1/p], got {x!r}")
     params = LagrangeParams(p, q)
     singular = "hi" if x * p >= 1.0 - 1e-12 else "none"

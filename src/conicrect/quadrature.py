@@ -41,8 +41,11 @@ class Tolerance:
     max_iter: int = 2_000_000
 
     def __post_init__(self) -> None:
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise DomainError("abs_tol and rel_tol must be nonnegative")
+        if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
+            raise DomainError(
+                f"abs_tol and rel_tol must be finite and nonnegative, "
+                f"got {self.abs_tol!r} and {self.rel_tol!r}"
+            )
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise DomainError("at least one of abs_tol, rel_tol must be positive")
         if self.max_iter < 1:

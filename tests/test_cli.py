@@ -8,6 +8,9 @@ import pytest
 from conicrect.cli import main
 
 
+SWEEP = ["--from", "0.1", "--to", "0.5", "--step", "0.2"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -200,6 +203,119 @@ class TestConstructVerb:
         assert not out_path.exists()
 
 
+class TestOneRegistry:
+    @pytest.mark.parametrize(
+        "op, point",
+        [
+            ("agm", {"p": "1.5", "q": "0.3"}),
+            ("ellint-K", {"k": "0.7"}),
+            ("ellint-E", {"k": "0.7"}),
+            ("ellint-F", {"k": "0.7", "phi": "0.9"}),
+            ("ellint-Einc", {"k": "0.7", "phi": "0.9"}),
+            ("excess-closed", {"a": "1", "b": "2.5"}),
+            ("excess-landen", {"m": "0.5520621297032798", "n": "0.20963619791418595"}),
+            ("excess-finite", {"a": "1", "b": "2.5", "p": "0.3"}),
+            ("lemniscate", {"radius": "1.7"}),
+        ],
+    )
+    def test_verb_and_table_agree_bit_for_bit(self, capsys, op, point):
+        flags = [token for name, value in point.items() for token in (f"--{name}", value)]
+        _, out = run(capsys, *op.split("-"), *flags, "--json")
+        from_verb = json.loads(out)["values"]
+        sweep, at = flags[0][2:], flags[1]
+        _, out = run(
+            capsys,
+            "table", "--op", op, "--sweep", sweep, "--from", at, "--to", at, "--step", "1",
+            *flags[2:], "--format", "json",
+        )
+        [row] = json.loads(out)["rows"]
+        shared = from_verb.keys() & row.keys()
+        assert shared
+        assert {name: repr(row[name]) for name in shared} == {
+            name: repr(from_verb[name]) for name in shared
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--op", "ellint-K", "--sweep", "k", *SWEEP, "--b", "3"],
+            ["table", "--op", "ellint-K", "--sweep", "k", *SWEEP, "--k", "0.3"],
+            ["table", "--op", "ellint-K", "--sweep", "k", *SWEEP, "--t", "0.3"],
+            ["table", "--op", "excess-series", "--sweep", "a", *SWEEP, "--b", "1"],
+            ["ellint", "K", "--k", "0.5", "--phi", "0.3"],
+            ["excess", "closed", "--a", "1", "--b", "2", "--p", "0.1"],
+            ["excess", "landen", "--m", "2", "--n", "1", "--terms", "2"],
+            ["excess", "closed", "--a", "1", "--b", "2", "--m", "2"],
+        ],
+    )
+    def test_flag_the_op_does_not_take_is_rejected(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_series_terms_default_is_shown(self, capsys):
+        code, out = run(capsys, "excess", "series", "--a", "0.1", "--b", "1")
+        assert code == 0
+        assert out.startswith("excess-series(a=0.1, b=1.0, terms=3) value = ")
+
+
+# One valid argv per verb form; every float flag of each is made non-finite below.
+VERB_FORMS = [
+    ["agm", "--p", "1", "--q", "0.8", "--tol", "1e-15"],
+    ["ellint", "K", "--k", "0.5"],
+    ["ellint", "E", "--k", "0.5"],
+    ["ellint", "F", "--k", "0.5", "--phi", "0.7"],
+    ["ellint", "Einc", "--k", "0.5", "--phi", "0.7"],
+    ["excess", "closed", "--a", "1", "--b", "2"],
+    ["excess", "closed", "--m", "2", "--n", "1"],
+    ["excess", "series", "--a", "0.1", "--b", "1", "--terms", "2"],
+    ["excess", "landen", "--m", "2", "--n", "1"],
+    ["excess", "landen", "--a", "1", "--b", "2"],
+    ["excess", "finite", "--a", "1", "--b", "2", "--p", "0.5"],
+    ["check", "gleichung", "--phi", "1.0", "--k", "0.6", "--tol", "1e-12"],
+    ["check", "borwein", "--k", "0.5", "--tol", "1e-12"],
+    ["check", "agm-invariance", "--x", "0.5", "--p", "1", "--q", "0.5", "--tol", "1e-10"],
+    ["check", "landen-theorem", "--m", "2", "--n", "1", "--t", "0.5", "--tol", "1e-9"],
+    ["check", "fagnano", "--m", "2", "--n", "1", "--t", "0.5", "--tol", "1e-9"],
+    ["lemniscate", "--radius", "1"],
+    ["table", "--op", "agm", "--sweep", "p", *SWEEP, "--q", "0.05"],
+    ["table", "--op", "ellint-K", "--sweep", "k", *SWEEP],
+    ["table", "--op", "ellint-E", "--sweep", "k", *SWEEP],
+    ["table", "--op", "ellint-F", "--sweep", "phi", *SWEEP, "--k", "0.5"],
+    ["table", "--op", "ellint-Einc", "--sweep", "k", *SWEEP, "--phi", "0.7"],
+    ["table", "--op", "excess-closed", "--sweep", "a", *SWEEP, "--b", "1"],
+    ["table", "--op", "excess-landen", "--sweep", "m", *SWEEP, "--n", "0.05"],
+    ["table", "--op", "excess-finite", "--sweep", "p", *SWEEP, "--a", "1", "--b", "2"],
+    ["table", "--op", "tangent-length", "--sweep", "x", *SWEEP, "--m", "2", "--n", "1"],
+    ["table", "--op", "lemniscate", "--sweep", "radius", *SWEEP],
+    ["construct", "--m", "2", "--n", "1", "--t", "0.5", "--out", "{out}"],
+]
+
+
+def _is_float_flag(flag: str, value: str) -> bool:
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return flag.startswith("--") and flag != "--terms"
+
+
+# ``--flag=value``, since argparse reads a separate ``-inf`` as an unknown flag
+NON_FINITE = [
+    [*form[:i], f"{form[i]}={bad}", *form[i + 2 :]]
+    for form in VERB_FORMS
+    for i in range(len(form) - 1)
+    if _is_float_flag(form[i], form[i + 1])
+    for bad in ("nan", "inf", "-inf")
+]
+
+
+@pytest.mark.parametrize("argv", VERB_FORMS)
+def test_verb_forms_run(capsys, tmp_path, argv):
+    out = tmp_path / "figure.svg"
+    assert main([str(out) if a == "{out}" else a for a in argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -207,14 +323,18 @@ class TestConstructVerb:
         ["lemniscate", "--radius", "inf"],
         ["agm", "--p", "nan", "--q", "1"],
         ["agm", "--p", "1", "--q", "inf"],
+        *NON_FINITE,
     ],
 )
-def test_non_finite_input_is_a_domain_error(capsys, argv):
-    code = main(argv)
-    err = capsys.readouterr().err
+def test_non_finite_input_is_a_domain_error(capsys, tmp_path, argv):
+    out = tmp_path / "figure.svg"
+    code = main([str(out) if a == "{out}" else a for a in argv])
+    captured = capsys.readouterr()
     assert code == 2
-    assert err.startswith("domain error:")
-    assert "Traceback" not in err
+    assert captured.err.startswith("domain error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -115,6 +115,13 @@ class TestSemiaxesPair:
             assert abs(a2 - a) <= 1e-14 * a
             assert abs(b2 - b) <= 1e-14 * b
 
+    def test_non_finite_semiaxes_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                semiaxes_to_pair(bad, 1.0)
+            with pytest.raises(DomainError):
+                semiaxes_to_pair(1.0, bad)
+
 
 class TestPedal:
     def test_radius_examples(self):
@@ -192,6 +199,11 @@ class TestTangentLength:
 
     def test_circle(self):
         assert ellipse_tangent_length(Ellipse(1.5, 1.5), 0.7) == 0.0
+
+    def test_domain(self):
+        for bad in (-0.1, 2.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                ellipse_tangent_length(Ellipse(2.0, 1.0), bad)
 
     def test_direct_r2_p2(self):
         # t^2 = r^2 - p^2 with r^2 = n^2 + g x^2 and p^2 = m^2 n^2/(m^2 - g x^2)

@@ -191,6 +191,11 @@ class TestUpperLimit:
         s = upper_limit(frac / p, pr)
         assert s <= 1.0 / pr.p1 * (1.0 + 1e-14)
 
+    def test_domain(self):
+        for bad in (-0.1, 0.6, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                upper_limit(bad, LagrangeParams(2.0, 1.0))
+
     def test_small_x_stability(self):
         pr = LagrangeParams(2.0, 1.0)
         x = 1e-9
@@ -285,6 +290,9 @@ class TestAgmInvariance:
             check_agm_invariance(0.1, 1.0, 1.0)
         with pytest.raises(DomainError):
             check_agm_invariance(2.1, 0.5, 0.2)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                check_agm_invariance(bad, 1.0, 0.5)
 
 
 def test_residual_report_fields():
@@ -293,3 +301,6 @@ def test_residual_report_fields():
     assert rep.inputs == {"k": 0.3}
     assert rep.residual == abs(rep.lhs - rep.rhs)
     assert rep.within(1e-10) and not rep.within(0.0)
+    for bad in (-1e-10, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            rep.within(bad)

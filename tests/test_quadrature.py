@@ -110,6 +110,11 @@ def test_tolerance_validation():
         Tolerance(abs_tol=0.0, rel_tol=0.0)
     with pytest.raises(DomainError):
         Tolerance(abs_tol=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            Tolerance(abs_tol=bad)
+        with pytest.raises(DomainError):
+            Tolerance(rel_tol=bad)
     with pytest.raises(DomainError):
         integrate(lambda t: t, 0.0, 1.0, singular_endpoints="left")  # type: ignore[arg-type]
 

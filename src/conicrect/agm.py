@@ -147,6 +147,22 @@ def complete_K(k: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> float:
     return 0.5 * math.pi / agm(1.0, complement(k), tol).limit
 
 
+def _gauss_legendre(kp: float) -> tuple[float, float]:
+    """K and the tail sum_(n>=1) 2^(n-1) c_n^2 over the AGM iterates
+    (a_n, b_n) of (1, k'), with c_(n+1) = (a_n - b_n)/2.
+
+    Gauss-Legendre: E = K (1 - k^2/2 - tail), the n = 0 term being k^2/2.
+    """
+    seq = agm(1.0, kp)
+    weight = 0.5
+    tail = 0.0
+    for a, b in seq.iterates[:-1]:
+        c = 0.5 * (a - b)
+        weight *= 2.0
+        tail += weight * c * c
+    return 0.5 * math.pi / seq.limit, tail
+
+
 def complete_E(k: float) -> float:
     """Complete elliptic integral of the second kind.
 
@@ -158,14 +174,8 @@ def complete_E(k: float) -> float:
         return 0.5 * math.pi
     if k == 1.0:
         return 1.0
-    seq = agm(1.0, complement(k))
-    weight = 0.5
-    total = weight * k * k
-    for a, b in seq.iterates[:-1]:
-        c = 0.5 * (a - b)
-        weight *= 2.0
-        total += weight * c * c
-    return 0.5 * math.pi / seq.limit * (1.0 - total)
+    K, tail = _gauss_legendre(complement(k))
+    return K * (1.0 - (0.5 * k * k + tail))
 
 
 def _descend(phi: float, k: float) -> tuple[float, float]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .agm import complete_E, complete_K, incomplete_E
+from .agm import _gauss_legendre, complete_E, incomplete_E
 from .errors import DomainError
 from .landen import ResidualReport
 from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate
@@ -188,20 +188,22 @@ def tangent_in_guard_band(pair: LandenPair, t: float) -> bool:
     return span - t < TANGENT_GUARD * span
 
 
-def hyperbola_radius_from_pedal(H: Hyperbola, p: float) -> float:
-    """Center distance of the branch point whose tangent-foot distance is p:
-    r^2 = a^2 - b^2 + a^2 b^2 / p^2."""
+def _branch_root(H: Hyperbola, p: float) -> float:
+    """sqrt(s) = b sqrt(a^2 - p^2) / (p sqrt(a^2 + b^2)), the sinh of the
+    branch parameter at pedal distance p; formed without p^2, which
+    underflows long before sqrt(s) overflows."""
     _check_pedal(H, p)
     a, b = H.a, H.b
-    ab_over_p = a * b / p
-    return math.sqrt(a * a - b * b + ab_over_p * ab_over_p)
+    root = b * math.sqrt((a - p) * (a + p)) / (p * H.focal_distance)
+    if root == math.inf:
+        raise DomainError(f"pedal distance {p!r} is too small: the branch point overflows")
+    return root
 
 
-def _branch_parameter(H: Hyperbola, p: float) -> float:
-    """sinh^2 of the branch parameter at pedal distance p."""
-    a, b = H.a, H.b
-    c2 = a * a + b * b
-    return b * b * (a - p) * (a + p) / (p * p * c2)
+def hyperbola_radius_from_pedal(H: Hyperbola, p: float) -> float:
+    """Center distance of the branch point whose tangent-foot distance is p:
+    r^2 = a^2 - b^2 + a^2 b^2 / p^2 = a^2 + (a^2 + b^2) s."""
+    return math.hypot(H.a, H.focal_distance * _branch_root(H, p))
 
 
 def hyperbola_point_from_pedal(H: Hyperbola, p: float) -> tuple[float, float]:
@@ -211,9 +213,8 @@ def hyperbola_point_from_pedal(H: Hyperbola, p: float) -> tuple[float, float]:
     branch and solves in closed form: with s = b^2 (a^2 - p^2)/(p^2 (a^2+b^2)),
     the point is (a sqrt(1+s), b sqrt(s)).
     """
-    _check_pedal(H, p)
-    s = _branch_parameter(H, p)
-    return H.a * math.sqrt(1.0 + s), H.b * math.sqrt(s)
+    root = _branch_root(H, p)
+    return H.a * math.hypot(1.0, root), H.b * root
 
 
 def hyperbola_tangent_length(H: Hyperbola, p: float) -> float:
@@ -231,41 +232,26 @@ def hyperbola_pedal_point(H: Hyperbola, p: float) -> PedalPoint:
     )
 
 
-def _rotated_arc_integrand(H: Hyperbola):
-    # In the frame where the asymptote is vertical the branch is
-    # y = ((a^2-b^2) x^2 + a^2 b^2)/(2abx); its speed has this closed form.
-    a, b = H.a, H.b
-    c2 = a * a + b * b
-    a2b2 = a * a * b * b
-    mid = 2.0 * a2b2 * (a * a - b * b)
-    const = a2b2 * a2b2
-    two_ab = 2.0 * a * b
-
-    def f(x: float) -> float:
-        w = x * x
-        return math.sqrt((c2 * c2 * w - mid) * w + const) / (two_ab * w)
-
-    return f
-
-
 def hyperbola_arc(
     H: Hyperbola, p_lo: float, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> float:
     """Arc length from the vertex to the branch point with pedal distance p_lo.
 
-    Integrates in the rotated frame (asymptote vertical), where the abscissa
-    of the pedal-p point is (ab/sqrt(a^2+b^2)) * (sqrt(1+s) - sqrt(s)) and the
-    vertex sits at ab/sqrt(a^2+b^2); the integrand is smooth on that range.
+    In the rotated frame (asymptote vertical) the branch is
+    y = ((a^2-b^2) x^2 + a^2 b^2)/(2abx), the vertex sits at abscissa
+    x_v = ab/sqrt(a^2+b^2) and the pedal-p point at x_v e^(-u),
+    u = asinh(sqrt(s)).  Under x = x_v e^(-u) the arc differential becomes
+    sqrt(b^2 + (a^2+b^2) sinh^2(u)) du, the speed of (a cosh u, b sinh u),
+    a sum of positive terms that grows like e^u and is smooth on [0, u].
     """
-    _check_pedal(H, p_lo)
     if p_lo == H.a:
         return 0.0
-    s = _branch_parameter(H, p_lo)
-    exp_minus_u = 1.0 / (math.sqrt(1.0 + s) + math.sqrt(s))
-    x_vertex = H.a * H.b / H.focal_distance
-    x_point = x_vertex * exp_minus_u
-    result = integrate(_rotated_arc_integrand(H), x_point, x_vertex, tol)
-    return result.value
+    b, c = H.b, H.focal_distance
+
+    def speed(u: float) -> float:
+        return math.hypot(b, c * math.sinh(u))
+
+    return integrate(speed, 0.0, math.asinh(_branch_root(H, p_lo)), tol).value
 
 
 def ellipse_tangent_length(E: Ellipse, x: float) -> float:
@@ -345,18 +331,38 @@ def ellipse_quadrant(E: Ellipse) -> float:
 def excess_finite(H: Hyperbola, p: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
     """Tangent segment minus arc from the vertex, at pedal distance p.
 
+    Maclaurin's excess integral, the integral of
+    q^2 / sqrt((a^2 - q^2)(b^2 + q^2)) over q from p to a, taken under
+    q = a cos(phi): int_0^theta a^2 cos^2(phi) / sqrt(b^2 + a^2 cos^2(phi)),
+    theta = acos(p/a).  The integrand is smooth and positive, so nothing
+    cancels as p -> 0 and the tolerance applies to the excess itself.
     Strictly increasing as p decreases; tends to the closed-form limit as
     p -> 0.
     """
-    return hyperbola_tangent_length(H, p) - hyperbola_arc(H, p, tol)
+    _check_pedal(H, p)
+    a2, b2 = H.a * H.a, H.b * H.b
+    theta = math.atan2(math.sqrt((H.a - p) * (H.a + p)), p)
+
+    def f(phi: float) -> float:
+        cos = math.cos(phi)
+        w = a2 * cos * cos
+        return w / math.sqrt(b2 + w)
+
+    return integrate(f, 0.0, theta, tol).value
 
 
 def excess_infinity_closed(H: Hyperbola) -> float:
     """Limit excess sqrt(a^2+b^2) E(k) - (b^2/sqrt(a^2+b^2)) K(k),
-    k = a/sqrt(a^2+b^2)."""
+    k = a/sqrt(a^2+b^2).
+
+    Gauss-Legendre turns the difference into c K (k^2/2 - tail), the tail
+    summed over the AGM iterates of (1, b/c); the bracket does not cancel
+    as a/b -> 0, where the difference itself would lose every digit.
+    """
     c = H.focal_distance
     k = H.a / c
-    return c * complete_E(k) - H.b * H.b / c * complete_K(k)
+    K, tail = _gauss_legendre(H.b / c)
+    return c * K * (0.5 * k * k - tail)
 
 
 _SERIES_COEFFS = (0.5, -3.0 / 16.0, 15.0 / 128.0, -175.0 / 2048.0)
@@ -393,6 +399,9 @@ def excess_infinity_landen(pair: LandenPair) -> float:
 
     S2 = m E(sqrt(m^2-n^2)/m) is the inner quadrant, S1 = (m+n) E((m-n)/(m+n))
     the outer one; equals excess_infinity_closed on the derived hyperbola.
+    This is the paper's identity, kept as a check: the quadrants are of the
+    order of m while their difference is of the order of m (a/b)^2, so it
+    cancels like (a/b)^2 and loses all digits as a/b -> 1e-8.
     """
     m, n = pair.m, pair.n
     s2 = m * complete_E(math.sqrt((m - n) * (m + n)) / m)
@@ -503,21 +512,24 @@ def simpson_arc(
     ds = (a/d) sqrt(1 - d^2 u^2) / (u^2 sqrt(1 - u^2)) du with
     d^2 = a^2/(a^2+b^2); u = 1 is the vertex, u -> 0 recedes along the
     branch with a non-integrable pole (the tangent-length part), so u0 = 0
-    is rejected.
+    is rejected.  Integrated in w = -ln(u), which turns the 1/u^2 growth into
+    e^w and puts the vertex's inverse-square-root end at w = 0, where
+    1 - u = -expm1(-w) stays accurate; (a/d) sqrt(1 - d^2 u^2) is written
+    as sqrt(b^2 + a^2 (1 - u^2)), which does not cancel when b << a.
     """
     if not 0.0 < u0 <= u1 <= 1.0:
         raise DomainError(f"need 0 < u0 <= u1 <= 1, got u0={u0!r}, u1={u1!r}")
     if u0 == u1:
         return 0.0
-    c = H.focal_distance
-    delta2 = (H.a / c) ** 2
+    a2, b2 = H.a * H.a, H.b * H.b
 
-    def f(u: float) -> float:
-        u2 = u * u
-        return c * math.sqrt(1.0 - delta2 * u2) / (u2 * math.sqrt((1.0 - u) * (1.0 + u)))
+    def f(w: float) -> float:
+        u = math.exp(-w)
+        v = -math.expm1(-w) * (1.0 + u)
+        return math.sqrt(b2 + a2 * v) / (u * math.sqrt(v))
 
-    singular = "hi" if u1 >= 1.0 - 1e-12 else "none"
-    return integrate(f, u0, u1, tol, singular).value
+    singular = "lo" if u1 >= 1.0 - 1e-12 else "none"
+    return integrate(f, -math.log(u1), -math.log(u0), tol, singular).value
 
 
 def maclaurin_excess_integrand(H: Hyperbola, p: float) -> float:

@@ -199,11 +199,14 @@ def check_borwein(k: float) -> ResidualReport:
     return ResidualReport("borwein", {"k": k}, lhs, rhs)
 
 
-def _binomial_root_integrand(p: float, q: float):
-    def f(y: float) -> float:
-        a = (1.0 - p * y) * (1.0 + p * y)
-        b = (1.0 - q * y) * (1.0 + q * y)
-        return 1.0 / math.sqrt(a * b)
+def _sine_form_integrand(p: float, q: float):
+    # dy / sqrt((1-p^2 y^2)(1-q^2 y^2)) under y = sin(theta)/p, where the
+    # root sqrt(1-p^2 y^2) = cos(theta) cancels against dy/dtheta
+    ratio2 = (q / p) ** 2
+
+    def f(theta: float) -> float:
+        s = math.sin(theta)
+        return 1.0 / (p * math.sqrt(1.0 - ratio2 * s * s))
 
     return f
 
@@ -216,18 +219,24 @@ def check_agm_invariance(
     Both sides of
     int_0^x dy / sqrt((1-p^2 y^2)(1-q^2 y^2))
       = int_0^{s(x,p,q)} dy1 / sqrt((1-p1^2 y1^2)(1-q1^2 y1^2))
-    are evaluated by the quadrature oracle; the left side carries an
-    endpoint singularity exactly when x = 1/p.
+    are evaluated by the quadrature oracle, the left under y = sin(theta)/p
+    and the right under y1 = sin(theta)/p1, where neither has a singular
+    endpoint.  At x = 1/p both sides are infinitely sensitive to x, so an x
+    with x p >= 1 - 1e-12 is taken as exactly 1/p: the left side runs to
+    theta = pi/2 and the image is s = 1/sqrt(p p1).
     """
     if not 0.0 < q < p:
         raise DomainError(f"requires 0 < q < p, got p={p!r}, q={q!r}")
     if not (0.0 <= x and x * p <= 1.0 + 1e-12):
         raise DomainError(f"x must lie in [0, 1/p], got {x!r}")
     params = LagrangeParams(p, q)
-    singular = "hi" if x * p >= 1.0 - 1e-12 else "none"
-    lhs = integrate(_binomial_root_integrand(p, q), 0.0, x, tol, singular)
-    s = upper_limit(x, params)
-    rhs = integrate(_binomial_root_integrand(params.p1, params.q1), 0.0, s, tol)
+    if x * p >= 1.0 - 1e-12:
+        theta, s = 0.5 * math.pi, 1.0 / (math.sqrt(p) * math.sqrt(params.p1))
+    else:
+        theta, s = math.asin(x * p), upper_limit(x, params)
+    lhs = integrate(_sine_form_integrand(p, q), 0.0, theta, tol)
+    theta1 = math.asin(min(params.p1 * s, 1.0))
+    rhs = integrate(_sine_form_integrand(params.p1, params.q1), 0.0, theta1, tol)
     return ResidualReport(
         "agm-invariance", {"x": x, "p": p, "q": q}, lhs.value, rhs.value
     )

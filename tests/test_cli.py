@@ -288,6 +288,10 @@ VERB_FORMS = [
     ["table", "--op", "tangent-length", "--sweep", "x", *SWEEP, "--m", "2", "--n", "1"],
     ["table", "--op", "lemniscate", "--sweep", "radius", *SWEEP],
     ["construct", "--m", "2", "--n", "1", "--t", "0.5", "--out", "{out}"],
+    # p * p underflows at this pedal distance
+    ["excess", "finite", "--a", "1", "--b", "2", "--p", "1e-200"],
+    ["excess", "finite", "--m", "2", "--n", "1", "--p", "1e-200"],
+    ["table", "--op", "excess-finite", "--sweep", "b", *SWEEP, "--a", "1", "--p", "1e-200"],
 ]
 
 

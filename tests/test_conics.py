@@ -34,6 +34,8 @@ from conicrect import (
     semiaxes_to_pair,
     simpson_arc,
 )
+from conicrect import conics
+from conicrect.conics import hyperbola_tangent_length
 
 SQRT8 = 2.0 * math.sqrt(2.0)
 
@@ -156,6 +158,16 @@ class TestPedal:
         H = Hyperbola(1.0, 1.0)
         x, y = hyperbola_point_from_pedal(H, 1e-12)
         assert x > 1e10  # unbounded along the branch
+
+    def test_pedal_whose_square_underflows(self):
+        # p * p underflows to 0 at p = 1e-200; sqrt(s) = 2e200/sqrt(5) does not
+        H = Hyperbola(1.0, 2.0)
+        x, y = hyperbola_point_from_pedal(H, 1e-200)
+        assert x == pytest.approx(2e200 / math.sqrt(5.0), rel=1e-15, abs=0.0)
+        assert y == pytest.approx(4e200 / math.sqrt(5.0), rel=1e-15, abs=0.0)
+        assert hyperbola_radius_from_pedal(H, 1e-200) == pytest.approx(2e200, rel=1e-15, abs=0.0)
+        with pytest.raises(DomainError):
+            hyperbola_point_from_pedal(H, 5e-324)  # the point itself overflows
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -513,3 +525,64 @@ def test_cross_parameterization_triangle():
     assert abs(rotated - pedal) < 1e-9
     assert abs(rotated - simpson) < 1e-9
     assert abs(pedal - simpson) < 1e-9
+
+
+# Hyperbola(1, b) at pedal distance p, from mpmath at 40 digits: the excess
+# as c E(theta, 1/c) - (b^2/c) F(theta, 1/c) with c^2 = 1 + b^2 and
+# theta = acos(p), the arc as the tangent length minus that excess; then the
+# oracle evaluations of excess_finite and of hyperbola_arc.
+FINITE_REFERENCE = [
+    (0.01, 1e-10, 0.99972543597482916747, 99999999.000274567463, 225, 255),
+    (0.01, 1e-06, 0.99972543597482913413, 9999.0003245590257065, 225, 285),
+    (0.01, 1 - 1e-6, 0.0014141425034352757989, 1.4141443889610649588e-7, 15, 15),
+    (2.0, 1e-10, 0.36075866393790280584, 19999999999.639240607, 45, 135),
+    (2.0, 1e-06, 0.36075866393790280567, 1999999.6392405861526, 45, 105),
+    (2.0, 1 - 1e-6, 0.00063245520527410341371, 0.0025298241941945073133, 15, 15),
+    (100.0, 1e-10, 0.0078536871280696363802, 999999999999.99210988, 15, 135),
+    (100.0, 1e-06, 0.0078536871280696363768, 99999999.992096322397, 15, 105),
+    (100.0, 1 - 1e-6, 0.000014141420321488022888, 0.14141439176734603004, 15, 15),
+]
+
+# Hyperbola(1, b), limit excess c E(1/c) - (b^2/c) K(1/c), mpmath at 40 digits.
+LIMIT_REFERENCE = [
+    (1e8, 7.8539816339744828016e-9),
+    (1e5, 7.8539816336799587849e-6),
+    (1e3, 0.00078539786887332111313),
+    (2.0, 0.36075866393790280584),
+    (1.0, 0.59907011736779610372),
+    (1e-3, 0.99999610297653195746),
+    (1e-6, 0.99999999999264909754),
+]
+
+
+class TestReferenceValues:
+    @pytest.mark.parametrize("b,p,excess,arc,n_excess,n_arc", FINITE_REFERENCE)
+    def test_finite_excess_and_arc(self, oracle_evaluations, b, p, excess, arc, n_excess, n_arc):
+        counts = oracle_evaluations(conics)
+        H = Hyperbola(1.0, b)
+        assert excess_finite(H, p) == pytest.approx(excess, rel=1e-13, abs=0.0)
+        assert counts == [n_excess]
+        counts.clear()
+        assert hyperbola_arc(H, p) == pytest.approx(arc, rel=1e-13, abs=0.0)
+        assert counts == [n_arc]
+
+    @pytest.mark.parametrize("b,excess", LIMIT_REFERENCE)
+    def test_limit_excess(self, b, excess):
+        assert excess_infinity_closed(Hyperbola(1.0, b)) == pytest.approx(excess, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("b", [0.01, 0.5, 1.0, 2.0, SQRT8])
+    def test_excess_is_tangent_minus_arc(self, b):
+        # the paper's route; for p/a >= 0.01 and these b/a the subtraction
+        # loses at most about three digits
+        H = Hyperbola(1.0, b)
+        for i in range(21):
+            p = 10.0 ** (-2.0 + i / 10.0)
+            route = hyperbola_tangent_length(H, p) - hyperbola_arc(H, p)
+            assert excess_finite(H, p) == pytest.approx(route, rel=1e-12, abs=0.0)
+
+    def test_arc_at_tiny_pedal_distance(self):
+        H = Hyperbola(1.0, 2.0)
+        p = 1e-300
+        route = hyperbola_tangent_length(H, p) - excess_finite(H, p)
+        assert hyperbola_arc(H, p) == pytest.approx(route, rel=1e-12, abs=0.0)
+        assert excess_finite(H, 5e-324) == pytest.approx(0.36075866393790280584, rel=1e-13, abs=0.0)

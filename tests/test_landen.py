@@ -23,8 +23,19 @@ from conicrect import (
     modulus_descend,
     upper_limit,
 )
+from conicrect import landen
 
 HALF_PI = 0.5 * math.pi
+
+# (p, q, K(q/p)/p from mpmath at 40 digits, oracle evaluations of the check
+# at x = 1/p): both sides of the invariance equal K(q/p)/p there.
+SNAPPED_REFERENCE = [
+    (1.0, 0.5, 1.6857503548125960429, 90),
+    (1.0, 0.01, 1.570835598912152236, 30),
+    (2.0, 1.9, 1.2950056154372504058, 210),
+    (0.7, 0.3, 2.3592635547450068571, 90),
+    (1.5, 0.001, 1.0471976675519103013, 30),
+]
 
 
 class TestModulusMaps:
@@ -284,6 +295,19 @@ class TestAgmInvariance:
         start = integrate(integrand(p, q), 0.0, x).value
         end = integrate(integrand(second.p1, second.q1), 0.0, s2).value
         assert abs(start - end) < 1e-10
+
+    @pytest.mark.parametrize("p,q,value,evaluations", SNAPPED_REFERENCE)
+    def test_singular_end(self, oracle_evaluations, p, q, value, evaluations):
+        counts = oracle_evaluations(landen)
+        rep = check_agm_invariance(1.0 / p, p, q)
+        assert rep.residual <= 1e-12
+        assert rep.lhs == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert rep.rhs == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert sum(counts) == evaluations
+        # the documented band around x = 1/p is taken as exactly 1/p
+        for x in ((1.0 - 5e-13) / p, (1.0 + 5e-13) / p):
+            band = check_agm_invariance(x, p, q)
+            assert (band.lhs, band.rhs) == (rep.lhs, rep.rhs)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -136,7 +136,7 @@ def agm(p0: float, q0: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> AgmSequ
     )
 
 
-def complete_K(k: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> float:
+def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k) = pi / (2 M(1, k')).
 
     Diverges at k = 1, which is rejected.
@@ -144,7 +144,7 @@ def complete_K(k: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> float:
     _check_modulus(k)
     if k == 0.0:
         return 0.5 * math.pi
-    return 0.5 * math.pi / agm(1.0, complement(k), tol).limit
+    return 0.5 * math.pi / agm(1.0, complement(k)).limit
 
 
 def _gauss_legendre(kp: float) -> tuple[float, float]:
@@ -271,15 +271,16 @@ def series_truncation_bound(kind: str, k: float, terms: int) -> float:
 def lemniscate(radius: float) -> LemniscateArcs:
     """Arc lengths of the lemniscate (x^2+y^2)^2 = R^2 (x^2-y^2).
 
-    quarter_arc = (R/sqrt(2)) K(1/sqrt(2)); full_arc = 2 pi R / M(1, sqrt(2));
-    gauss_constant = 1/M(1, sqrt(2)).
+    full_arc = 2 pi R / M(1, sqrt(2)); gauss_constant = 1/M(1, sqrt(2));
+    quarter_arc = (R/sqrt(2)) K(1/sqrt(2)), which is exactly full_arc/4, so
+    one AGM run gives all three.
     """
     if not 0.0 < radius < math.inf:
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
     limit = agm(1.0, math.sqrt(2.0)).limit
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    full_arc = 2.0 * math.pi * radius / limit
     return LemniscateArcs(
-        quarter_arc=radius * inv_sqrt2 * complete_K(inv_sqrt2),
-        full_arc=2.0 * math.pi * radius / limit,
+        quarter_arc=0.25 * full_arc,
+        full_arc=full_arc,
         gauss_constant=1.0 / limit,
     )

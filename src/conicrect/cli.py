@@ -192,11 +192,7 @@ def _cmd_op(args: argparse.Namespace) -> int:
             raise DomainError("provide exactly one of (--a, --b) or (--m, --n)")
         params = (*given[0], *(x for x in params if x not in _SEMIAXES + _PAIR))
     inputs = _take(args, op, params)
-    values = fn(inputs)
-    flags = []
-    if op == "excess-finite" and _conics.pedal_in_guard_band(_hyperbola(inputs), inputs["p"]):
-        flags.append("pedal-distance-in-guard-band")
-    _emit(RunReport(op, inputs, values, flags=flags), args.json)
+    _emit(RunReport(op, inputs, fn(inputs)), args.json)
     return 0
 
 

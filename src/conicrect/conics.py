@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .agm import _gauss_legendre, complete_E, incomplete_E
 from .errors import DomainError
 from .landen import ResidualReport
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate
+from .quadrature import integrate
 
 __all__ = [
     "Hyperbola",
@@ -47,8 +47,7 @@ __all__ = [
     "maclaurin_excess_integrand",
 ]
 
-PEDAL_GUARD = 1e-8  # p / a below this is accepted but flagged as ill-conditioned
-TANGENT_GUARD = 1e-8  # (m - n - t)/(m - n) below this likewise
+TANGENT_GUARD = 1e-8  # (m - n - t)/(m - n) below this is ill-conditioned
 
 
 @dataclass(frozen=True)
@@ -117,9 +116,9 @@ class LandenPair:
     n: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.n < self.m:
+        if not 0.0 < self.n < self.m < math.inf:
             raise DomainError(
-                f"LandenPair requires m > n > 0, got m={self.m!r}, n={self.n!r}"
+                f"LandenPair requires finite m > n > 0, got m={self.m!r}, n={self.n!r}"
             )
 
     @property
@@ -179,10 +178,6 @@ def _check_pedal(H: Hyperbola, p: float) -> None:
         raise DomainError(f"pedal distance must lie in (0, a] = (0, {H.a!r}], got {p!r}")
 
 
-def pedal_in_guard_band(H: Hyperbola, p: float) -> bool:
-    return p < PEDAL_GUARD * H.a
-
-
 def tangent_in_guard_band(pair: LandenPair, t: float) -> bool:
     span = pair.m - pair.n
     return span - t < TANGENT_GUARD * span
@@ -221,7 +216,10 @@ def hyperbola_tangent_length(H: Hyperbola, p: float) -> float:
     """Tangent segment sqrt(r^2 - p^2) = sqrt((a^2-p^2)(b^2+p^2)) / p."""
     _check_pedal(H, p)
     a, b = H.a, H.b
-    return math.sqrt((a - p) * (a + p) * (b * b + p * p)) / p
+    length = math.sqrt((a - p) * (a + p) * (b * b + p * p)) / p
+    if length == math.inf:
+        raise DomainError(f"the tangent length overflows at pedal distance {p!r}")
+    return length
 
 
 def hyperbola_pedal_point(H: Hyperbola, p: float) -> PedalPoint:
@@ -232,9 +230,7 @@ def hyperbola_pedal_point(H: Hyperbola, p: float) -> PedalPoint:
     )
 
 
-def hyperbola_arc(
-    H: Hyperbola, p_lo: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
+def hyperbola_arc(H: Hyperbola, p_lo: float) -> float:
     """Arc length from the vertex to the branch point with pedal distance p_lo.
 
     In the rotated frame (asymptote vertical) the branch is
@@ -251,7 +247,7 @@ def hyperbola_arc(
     def speed(u: float) -> float:
         return math.hypot(b, c * math.sinh(u))
 
-    return integrate(speed, 0.0, math.asinh(_branch_root(H, p_lo)), tol).value
+    return integrate(speed, 0.0, math.asinh(_branch_root(H, p_lo))).value
 
 
 def ellipse_tangent_length(E: Ellipse, x: float) -> float:
@@ -278,7 +274,7 @@ def abscissae_from_tangent(pair: LandenPair, t: float) -> tuple[float, float]:
     root is evaluated in rationalized form to stay accurate near t = 0.
     """
     m, n = pair.m, pair.n
-    if t < 0.0 or t > (m - n) * (1.0 + 1e-12):
+    if not 0.0 <= t <= (m - n) * (1.0 + 1e-12):
         raise DomainError(
             f"tangent length must lie in [0, m-n] = [0, {m - n!r}], got {t!r}"
         )
@@ -291,16 +287,6 @@ def abscissae_from_tangent(pair: LandenPair, t: float) -> tuple[float, float]:
     x2_minus = 2.0 * m * m * t * t / (g * s)
     x2_plus = 0.5 * s / g
     return math.sqrt(x2_minus), math.sqrt(min(x2_plus, m * m))
-
-
-def _ellipse_arc_integrand(E: Ellipse):
-    g = E.g
-    a2 = E.a * E.a
-
-    def f(x: float) -> float:
-        return math.sqrt((a2 - g * x * x) / (a2 - x * x))
-
-    return f
 
 
 def ellipse_arc(E: Ellipse, x0: float, x1: float) -> float:
@@ -328,7 +314,7 @@ def ellipse_quadrant(E: Ellipse) -> float:
     return E.a * complete_E(E.eccentricity)
 
 
-def excess_finite(H: Hyperbola, p: float, tol: Tolerance = DEFAULT_TOLERANCE) -> float:
+def excess_finite(H: Hyperbola, p: float) -> float:
     """Tangent segment minus arc from the vertex, at pedal distance p.
 
     Maclaurin's excess integral, the integral of
@@ -348,7 +334,7 @@ def excess_finite(H: Hyperbola, p: float, tol: Tolerance = DEFAULT_TOLERANCE) ->
         w = a2 * cos * cos
         return w / math.sqrt(b2 + w)
 
-    return integrate(f, 0.0, theta, tol).value
+    return integrate(f, 0.0, theta).value
 
 
 def excess_infinity_closed(H: Hyperbola) -> float:
@@ -409,15 +395,6 @@ def excess_infinity_landen(pair: LandenPair) -> float:
     return 2.0 * s2 - s1
 
 
-def _excess_t_integrand(pair: LandenPair):
-    m, n = pair.m, pair.n
-
-    def f(tau: float) -> float:
-        return math.sqrt(((m - n - tau) * (m - n + tau)) / ((m + n - tau) * (m + n + tau)))
-
-    return f
-
-
 def _eta1_integrand(pair: LandenPair):
     m, n = pair.m, pair.n
 
@@ -427,14 +404,13 @@ def _eta1_integrand(pair: LandenPair):
     return f
 
 
-def landen_theorem_check(
-    pair: LandenPair, t: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[ExcessBreakdown, ResidualReport]:
+def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, ResidualReport]:
     """Verify Hyp = t_Hyp + 2t + eta1 - 4 eta2 with all arcs from the oracle.
 
     The hyperbola point is fixed by p = sqrt((m-n)^2 - t^2); eta1 is the
     outer-ellipse arc in the tangent variable, eta2 the inner-ellipse arc up
-    to the smaller abscissa sharing tangent length t.
+    to the smaller abscissa sharing tangent length t, in the angle form that
+    fagnano_check also integrates.
     """
     m, n = pair.m, pair.n
     if not 0.0 < t < m - n:
@@ -442,12 +418,11 @@ def landen_theorem_check(
     H = pair.hyperbola
     p = math.sqrt((m - n - t) * (m - n + t))
     t_hyp = hyperbola_tangent_length(H, p)
-    hyp_arc = hyperbola_arc(H, p, tol)
-    eta1 = integrate(_eta1_integrand(pair), 0.0, t, tol).value
+    hyp_arc = hyperbola_arc(H, p)
+    eta1 = integrate(_eta1_integrand(pair), 0.0, t).value
     x_minus, _ = abscissae_from_tangent(pair, t)
-    eta2 = integrate(
-        _ellipse_arc_integrand(pair.ellipse_inner), 0.0, x_minus, tol
-    ).value
+    theta_minus = math.asin(min(x_minus / m, 1.0))
+    eta2 = integrate(_ellipse_arc_theta_integrand(pair.ellipse_inner), 0.0, theta_minus).value
     s1 = ellipse_quadrant(pair.ellipse_outer)
     s2 = ellipse_quadrant(pair.ellipse_inner)
     breakdown = ExcessBreakdown(
@@ -470,8 +445,8 @@ def landen_theorem_check(
 
 
 def _ellipse_arc_theta_integrand(E: Ellipse):
-    # same arc differential as _ellipse_arc_integrand under x = a sin(theta);
-    # smooth at the vertex, where the x form cannot recover a - x accurately
+    # the arc differential under x = a sin(theta); smooth at the vertex,
+    # where the x form sqrt((a^2 - g x^2)/(a^2 - x^2)) cannot recover a - x
     g = E.g
     a = E.a
 
@@ -482,9 +457,7 @@ def _ellipse_arc_theta_integrand(E: Ellipse):
     return f
 
 
-def fagnano_check(
-    pair: LandenPair, t: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ResidualReport:
+def fagnano_check(pair: LandenPair, t: float) -> ResidualReport:
     """Equal-tangent arc pair on the inner ellipse.
 
     With x- < x+ the two abscissae of tangent length t, the arc from the
@@ -499,14 +472,12 @@ def fagnano_check(
     ds = _ellipse_arc_theta_integrand(pair.ellipse_inner)
     theta_minus = math.asin(min(x_minus / m, 1.0))
     theta_plus = math.asin(min(x_plus / m, 1.0))
-    lhs = integrate(ds, 0.0, theta_minus, tol).value
-    rhs = t + integrate(ds, theta_plus, 0.5 * math.pi, tol).value
+    lhs = integrate(ds, 0.0, theta_minus).value
+    rhs = t + integrate(ds, theta_plus, 0.5 * math.pi).value
     return ResidualReport("fagnano", {"m": m, "n": n, "t": t}, lhs, rhs)
 
 
-def simpson_arc(
-    H: Hyperbola, u0: float, u1: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> float:
+def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
     """Arc length in the reciprocal-abscissa variable u = a/x.
 
     ds = (a/d) sqrt(1 - d^2 u^2) / (u^2 sqrt(1 - u^2)) du with
@@ -529,7 +500,7 @@ def simpson_arc(
         return math.sqrt(b2 + a2 * v) / (u * math.sqrt(v))
 
     singular = "lo" if u1 >= 1.0 - 1e-12 else "none"
-    return integrate(f, -math.log(u1), -math.log(u0), tol, singular).value
+    return integrate(f, -math.log(u1), -math.log(u0), singular_endpoints=singular).value
 
 
 def maclaurin_excess_integrand(H: Hyperbola, p: float) -> float:

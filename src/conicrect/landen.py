@@ -21,10 +21,9 @@ from .agm import (
     incomplete_F,
 )
 from .errors import DomainError
-from .quadrature import DEFAULT_TOLERANCE, Tolerance, integrate
+from .quadrature import integrate
 
 __all__ = [
-    "ModulusPair",
     "LagrangeParams",
     "ResidualReport",
     "modulus_ascend",
@@ -40,18 +39,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ModulusPair:
-    """A modulus and its image under the ascending map."""
-
-    k: float
-    k_hat: float
-
-
-@dataclass(frozen=True)
 class LagrangeParams:
     """One AGM step (p, q) -> (p1, q1) = ((p+q)/2, sqrt(pq)).
 
-    Requires 0 < q <= p; the derived means are computed on construction.
+    Requires 0 < q <= p < inf; the derived means are computed on construction.
     """
 
     p: float
@@ -60,9 +51,9 @@ class LagrangeParams:
     q1: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.q <= self.p:
+        if not 0.0 < self.q <= self.p < math.inf:
             raise DomainError(
-                f"LagrangeParams requires 0 < q <= p, got p={self.p!r}, q={self.q!r}"
+                f"LagrangeParams requires 0 < q <= p < inf, got p={self.p!r}, q={self.q!r}"
             )
         object.__setattr__(self, "p1", 0.5 * (self.p + self.q))
         object.__setattr__(self, "q1", math.sqrt(self.p * self.q))
@@ -101,10 +92,6 @@ def modulus_descend(k_hat: float) -> float:
     return _descend_modulus(k_hat)
 
 
-def modulus_pair(k: float) -> ModulusPair:
-    return ModulusPair(k=k, k_hat=modulus_ascend(k))
-
-
 def amplitude_map(phi_hat: float, k: float) -> float:
     """Amplitude on the smaller-modulus side of one descending step.
 
@@ -123,31 +110,20 @@ def amplitude_map(phi_hat: float, k: float) -> float:
 def amplitude_inverse(phi: float, k: float) -> float:
     """The phi_hat in [phi/2, (phi + pi/2)/2] with amplitude_map(phi_hat, k) = phi.
 
-    Closed form pi/4 + arcsin(k)/2 in the complete case; elsewhere bracketed
-    bisection on sin(2 phi_hat - phi) - k sin(phi), which is strictly
-    increasing in phi_hat on the bracket.
+    Closed form: sin(2 phi_hat - phi) = k sin(phi) gives
+    phi_hat = (phi + arcsin(k sin(phi)))/2.  The arcsine of y = k sin(phi) is
+    taken as atan2(y, sqrt((1 - y)(1 + y))) with
+    1 - y = (1 - k) + 2 k sin^2((pi/2 - phi)/2), which does not cancel as
+    y -> 1; the complete case phi = pi/2 gives pi/4 + arcsin(k)/2.
     """
     if not 0.0 <= phi <= 0.5 * math.pi:
         raise DomainError(f"phi must lie in [0, pi/2], got {phi!r}")
     if not 0.0 <= k < 1.0:
         raise DomainError(f"modulus must lie in [0, 1), got {k!r}")
-    if phi == 0.0:
-        return 0.0
-    half_pi = 0.5 * math.pi
-    if abs(phi - half_pi) <= 1e-12:
-        return 0.25 * math.pi + 0.5 * math.asin(k)
-    target = k * math.sin(phi)
-    lo = 0.5 * phi
-    hi = 0.5 * (phi + half_pi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if math.sin(2.0 * mid - phi) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * (1.0 + hi):
-            break
-    return 0.5 * (lo + hi)
+    y = k * math.sin(phi)
+    half_gap = math.sin(0.5 * (0.5 * math.pi - phi))
+    one_minus_y = (1.0 - k) + 2.0 * k * half_gap * half_gap
+    return 0.5 * (phi + math.atan2(y, math.sqrt(one_minus_y * (1.0 + y))))
 
 
 def lagrange_substitution(y1: float, params: LagrangeParams) -> float:
@@ -157,7 +133,7 @@ def lagrange_substitution(y1: float, params: LagrangeParams) -> float:
     y1 = sqrt(2/(p (p+q))).
     """
     p1, q1 = params.p1, params.q1
-    if abs(y1) * p1 >= 1.0:
+    if not abs(y1) * p1 < 1.0:
         raise DomainError(f"|y1| must be below 1/p1 = {1.0 / p1!r}, got {y1!r}")
     num = (1.0 - p1 * y1) * (1.0 + p1 * y1)
     den = (1.0 - q1 * y1) * (1.0 + q1 * y1)
@@ -211,9 +187,7 @@ def _sine_form_integrand(p: float, q: float):
     return f
 
 
-def check_agm_invariance(
-    x: float, p: float, q: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> ResidualReport:
+def check_agm_invariance(x: float, p: float, q: float) -> ResidualReport:
     """Residual of the integral invariance across one AGM step.
 
     Both sides of
@@ -234,9 +208,9 @@ def check_agm_invariance(
         theta, s = 0.5 * math.pi, 1.0 / (math.sqrt(p) * math.sqrt(params.p1))
     else:
         theta, s = math.asin(x * p), upper_limit(x, params)
-    lhs = integrate(_sine_form_integrand(p, q), 0.0, theta, tol)
+    lhs = integrate(_sine_form_integrand(p, q), 0.0, theta)
     theta1 = math.asin(min(params.p1 * s, 1.0))
-    rhs = integrate(_sine_form_integrand(params.p1, params.q1), 0.0, theta1, tol)
+    rhs = integrate(_sine_form_integrand(params.p1, params.q1), 0.0, theta1)
     return ResidualReport(
         "agm-invariance", {"x": x, "p": p, "q": q}, lhs.value, rhs.value
     )

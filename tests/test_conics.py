@@ -99,6 +99,9 @@ class TestTypes:
             LandenPair(1.0, 1.0)  # circle: no nonzero pedal tangent
         with pytest.raises(DomainError):
             LandenPair(1.0, 2.0)
+        for m, n in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan), (math.inf, math.inf)):
+            with pytest.raises(DomainError):
+                LandenPair(m, n)
 
 
 class TestSemiaxesPair:
@@ -168,6 +171,8 @@ class TestPedal:
         assert hyperbola_radius_from_pedal(H, 1e-200) == pytest.approx(2e200, rel=1e-15, abs=0.0)
         with pytest.raises(DomainError):
             hyperbola_point_from_pedal(H, 5e-324)  # the point itself overflows
+        with pytest.raises(DomainError):
+            hyperbola_tangent_length(H, 5e-324)  # so does its tangent segment
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -259,8 +264,9 @@ class TestAbscissae:
         )
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            abscissae_from_tangent(LandenPair(2.0, 1.0), 1.01)
+        for bad in (1.01, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                abscissae_from_tangent(LandenPair(2.0, 1.0), bad)
 
 
 class TestEllipseArc:

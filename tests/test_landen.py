@@ -114,10 +114,23 @@ class TestAmplitudeMap:
 
     def test_inverse_round_trip(self):
         for k in (0.0, 0.3, 0.7, 0.95):
-            for phi in (0.05, 0.6, 1.2, HALF_PI):
+            for phi in (1e-300, 1e-12, 0.05, 0.6, 1.2, HALF_PI):
                 phi_hat = amplitude_inverse(phi, k)
                 assert phi / 2.0 <= phi_hat <= (phi + HALF_PI) / 2.0
-                assert abs(amplitude_map(phi_hat, k) - phi) < 1e-13
+                assert abs(amplitude_map(phi_hat, k) - phi) <= 1e-15 * phi
+
+    @pytest.mark.parametrize(
+        "phi, k, ref",
+        [
+            # (phi + asin(k sin(phi)))/2 by mpmath at 50 digits
+            (1e-300, 0.3, 6.500000000000000107372946e-301),
+            (1e-12, 0.3, 6.499999999999999813752058e-13),
+            (1.2, 0.95, 1.14371686261750365766365),
+            (HALF_PI, 1.0 - 1e-12, 1.570795619695936654418545),
+        ],
+    )
+    def test_inverse_reference_values(self, phi, k, ref):
+        assert amplitude_inverse(phi, k) == pytest.approx(ref, rel=2.5e-16, abs=0.0)
 
 
 class TestLagrangeParams:
@@ -142,6 +155,9 @@ class TestLagrangeParams:
             LagrangeParams(1.0, 2.0)
         with pytest.raises(DomainError):
             LagrangeParams(1.0, 0.0)
+        for p, q in ((math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan), (math.inf, math.inf)):
+            with pytest.raises(DomainError):
+                LagrangeParams(p, q)
 
 
 class TestSubstitution:
@@ -175,8 +191,11 @@ class TestSubstitution:
         assert lagrange_substitution(0.3, pr) == pytest.approx(0.3, abs=1e-15)
 
     def test_domain(self):
+        for bad in (0.5, -0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                lagrange_substitution(bad, LagrangeParams(3.0, 1.0))
         with pytest.raises(DomainError):
-            lagrange_substitution(0.5, LagrangeParams(3.0, 1.0))
+            lagrange_substitution(math.nan, LagrangeParams(1.0, 0.5))
 
 
 class TestUpperLimit:

@@ -1,16 +1,18 @@
 """Arithmetic-geometric mean and elliptic integral kernels.
 
-The complete integrals come from the AGM of (1, k'): K = pi / (2 M(1, k'))
-and E by the Gauss-Legendre sum over the same iterates.  The incomplete
-integrals of both kinds share one descending modulus recursion with the
-matching amplitude updates, which is the AGM with amplitudes written on the
-modulus (Abramowitz & Stegun 17.6).  No kernel calls the quadrature oracle,
-so every cross-check against it compares two independent routes.
+All four integrals come from one walk over the AGM of (1, k'), Legendre's
+AGM with amplitudes (Abramowitz & Stegun 17.6): the amplitude doubles at
+each step, less the turn tan(phi_(n+1) - phi_n) = (b_n/a_n) tan(phi_n)
+takes back, and F = lim phi_n / (2^n a_n), which is K = pi / (2 M(1, k'))
+in the complete case.  E follows from the same iterates by the
+Gauss-Legendre sum.  No kernel calls the quadrature oracle, so every
+cross-check against it compares two independent routes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -32,7 +34,6 @@ __all__ = [
 
 DEFAULT_AGM_TOLERANCE = Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_iter=60)
 
-_F_MODULUS_FLOOR = 1e-10  # stop the descending recursion below this modulus
 _SERIES_TERM_CAP = 200
 
 
@@ -79,24 +80,24 @@ def complement(k: float) -> float:
     return math.sqrt((1.0 - k) * (1.0 + k))
 
 
-def _descend_modulus(k: float) -> float:
-    # (1 - k')/(1 + k') in the cancellation-free form (k/(1 + k'))^2
-    kp = complement(k)
-    r = k / (1.0 + kp)
-    return r * r
+def _agm_steps(p: float, q: float, tol: Tolerance) -> Iterator[tuple[float, float]]:
+    """The AGM iterates (p_n, q_n) from (p, q), p >= q > 0, the first included.
 
-
-def _amplitude_step(phi: float, k: float) -> float:
-    """New amplitude after one descending modulus step.
-
-    Solves tan(new) = sin(2*phi) / (k + cos(2*phi)) on the branch that keeps
-    the map continuous and increasing; the true value stays within pi/2 of
-    2*phi, which picks a unique solution of the tangent equation.
+    Stops after the pair with p_n - q_n <= max(abs_tol, rel_tol * p_n), or
+    with a difference that stopped shrinking; raises after max_iter steps.
     """
-    two_phi = 2.0 * phi
-    psi = math.atan2(math.sin(two_phi), k + math.cos(two_phi))
-    branch = round((two_phi - psi) / math.pi)
-    return psi + branch * math.pi
+    abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
+    prev_diff = math.inf
+    for _ in range(tol.max_iter + 1):
+        yield p, q
+        diff = p - q
+        if diff <= abs_tol or diff <= rel_tol * p or diff >= prev_diff:
+            return
+        prev_diff = diff
+        p, q = 0.5 * (p + q), math.sqrt(p * q)
+        if q > p:  # sub-ulp rounding at convergence can invert the means
+            q = p
+    raise ConvergenceError(f"agm failed to converge within {tol.max_iter} iterations")
 
 
 def agm(p0: float, q0: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> AgmSequence:
@@ -110,30 +111,58 @@ def agm(p0: float, q0: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> AgmSequ
     swapped = p0 < q0
     if swapped:
         p0, q0 = q0, p0
-    p, q = p0, q0
-    iterates = [(p, q)]
-    prev_diff = math.inf
-    while True:
-        diff = p - q
-        if diff <= tol.target(p) or diff >= prev_diff:
-            break
-        if len(iterates) - 1 >= tol.max_iter:
-            raise ConvergenceError(
-                f"agm failed to converge within {tol.max_iter} iterations"
-            )
-        prev_diff = diff
-        p, q = 0.5 * (p + q), math.sqrt(p * q)
-        if q > p:  # sub-ulp rounding at convergence can invert the means
-            q = p
-        iterates.append((p, q))
+    iterates = tuple(_agm_steps(p0, q0, tol))
+    p, q = iterates[-1]
     return AgmSequence(
         p0=p0,
         q0=q0,
-        iterates=tuple(iterates),
+        iterates=iterates,
         limit=0.5 * (p + q),
         iterations=len(iterates) - 1,
         swapped=swapped,
     )
+
+
+def _amplitude_step(phi: float, a: float, b: float) -> float:
+    """phi_(n+1) = phi_n + arctan((b/a) tan(phi_n)) on the continuous branch.
+
+    Taken as 2 phi - d with tan(d) = (a - b) sin(phi) cos(phi) / (a cos^2(phi)
+    + b sin^2(phi)): the denominator is a sum of positive terms, so d needs
+    no branch and nothing cancels as b/a -> 0 at phi -> pi/2.
+    """
+    s, c = math.sin(phi), math.cos(phi)
+    return 2.0 * phi - math.atan2((a - b) * s * c, a * c * c + b * s * s)
+
+
+def _legendre(kp: float, phi: float | None = None) -> tuple[float, float, float]:
+    """(F, tail, sines) over the AGM iterates (a_n, b_n) of (1, k'), the last included.
+
+    With c_(n+1) = (a_n - b_n)/2 and phi_(n+1) the amplitude step,
+    tail = sum_(n>=1) 2^(n-1) c_n^2, sines = sum_(n>=1) c_n sin(phi_n) and
+    F = phi_N / (2^N a_N); phi None gives K = pi / (2 M(1, k')) and no
+    sines.  E = F (1 - k^2/2 - tail) + sines.  The walk takes k', not k, so
+    a caller that knows k' exactly, as (1 - k)/(1 + k) for the ascended
+    modulus, keeps it where k itself would round to 1.
+    """
+    weight = 0.5
+    tail = sines = 0.0
+    for a, b in _agm_steps(1.0, kp, DEFAULT_AGM_TOLERANCE):
+        c = 0.5 * (a - b)
+        weight *= 2.0
+        tail += weight * c * c
+        if phi is not None:
+            phi = _amplitude_step(phi, a, b)
+            sines += c * math.sin(phi)
+    limit = 0.5 * (a + b)
+    if phi is None:
+        return 0.5 * math.pi / limit, tail, sines
+    return phi / (2.0 * weight * limit), tail, sines
+
+
+def _second_kind(k: float, phi: float | None = None) -> float:
+    """E(phi, k), or E(k) for phi None, from the walk of ``_legendre``."""
+    F, tail, sines = _legendre(complement(k), phi)
+    return F * (1.0 - (0.5 * k * k + tail)) + sines
 
 
 def complete_K(k: float) -> float:
@@ -142,25 +171,7 @@ def complete_K(k: float) -> float:
     Diverges at k = 1, which is rejected.
     """
     _check_modulus(k)
-    if k == 0.0:
-        return 0.5 * math.pi
-    return 0.5 * math.pi / agm(1.0, complement(k)).limit
-
-
-def _gauss_legendre(kp: float) -> tuple[float, float]:
-    """K and the tail sum_(n>=1) 2^(n-1) c_n^2 over the AGM iterates
-    (a_n, b_n) of (1, k'), with c_(n+1) = (a_n - b_n)/2.
-
-    Gauss-Legendre: E = K (1 - k^2/2 - tail), the n = 0 term being k^2/2.
-    """
-    seq = agm(1.0, kp)
-    weight = 0.5
-    tail = 0.0
-    for a, b in seq.iterates[:-1]:
-        c = 0.5 * (a - b)
-        weight *= 2.0
-        tail += weight * c * c
-    return 0.5 * math.pi / seq.limit, tail
+    return _legendre(complement(k))[0]
 
 
 def complete_E(k: float) -> float:
@@ -170,65 +181,30 @@ def complete_E(k: float) -> float:
     (a_n, b_n) of (1, k'), with c_0 = k and c_(n+1) = (a_n - b_n)/2.
     """
     _check_modulus(k, allow_one=True)
-    if k == 0.0:
-        return 0.5 * math.pi
     if k == 1.0:
         return 1.0
-    K, tail = _gauss_legendre(complement(k))
-    return K * (1.0 - (0.5 * k * k + tail))
-
-
-def _descend(phi: float, k: float) -> tuple[float, float]:
-    """F(phi, k) and E(phi, k) by one descending modulus recursion.
-
-    F(phi, k) = (1 + k1)/2 * F(phi1, k1) with k1 = (1 - k')/(1 + k') and phi1
-    the matching amplitude, iterated until the modulus drops below 1e-10
-    where F(phi, k) ~ phi * (1 + k^2/4).  On the AGM scale a_0 = 1 the same
-    steps give a_(n+1) = a_n (1 + k'_n)/2 and c_n = k_n a_n, and
-    E = F (1 - sum_n 2^(n-1) c_n^2) + sum_n c_n sin(phi_n).
-    """
-    factor = 1.0
-    cur_phi = phi
-    cur_k = k
-    a = 1.0
-    weight = 0.5
-    squares = weight * k * k
-    sines = 0.0
-    steps = 0
-    while cur_k > _F_MODULUS_FLOOR:
-        a *= 0.5 * (1.0 + complement(cur_k))
-        cur_k = _descend_modulus(cur_k)
-        cur_phi = _amplitude_step(cur_phi, cur_k)
-        factor *= 0.5 * (1.0 + cur_k)
-        c = cur_k * a
-        weight *= 2.0
-        squares += weight * c * c
-        sines += c * math.sin(cur_phi)
-        steps += 1
-        if steps > 60:
-            raise ConvergenceError("modulus descent failed to reach the floor")
-    f_val = factor * cur_phi * (1.0 + 0.25 * cur_k * cur_k)
-    return f_val, f_val * (1.0 - squares) + sines
+    return _second_kind(k)
 
 
 def incomplete_F(phi: float, k: float) -> float:
     """Incomplete elliptic integral of the first kind F(phi, k), 0 <= k < 1."""
     _check_amplitude(phi)
     _check_modulus(k)
-    return _descend(phi, k)[0]
+    return _legendre(complement(k), phi)[0]
 
 
 def incomplete_E(phi: float, k: float) -> float:
     """Incomplete elliptic integral of the second kind E(phi, k), 0 <= k <= 1.
 
-    Shares the descending recursion of ``incomplete_F``; at k = 1 the
-    integral is sin(phi) in closed form.
+    E = F (1 - sum_n 2^(n-1) c_n^2) + sum_(n>=1) c_n sin(phi_n) over the
+    AGM with amplitudes of ``incomplete_F``; at k = 1 the integral is
+    sin(phi) in closed form.
     """
     _check_amplitude(phi)
     _check_modulus(k, allow_one=True)
     if k == 1.0:
         return math.sin(phi)
-    return _descend(phi, k)[1]
+    return _second_kind(k, phi)
 
 
 def series_KE(kind: str, k: float, terms: int) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .agm import _gauss_legendre, complete_E, incomplete_E
+from .agm import _legendre, complete_E, incomplete_E
 from .errors import DomainError
 from .landen import ResidualReport
 from .quadrature import integrate
@@ -346,8 +346,10 @@ def excess_infinity_closed(H: Hyperbola) -> float:
     as a/b -> 0, where the difference itself would lose every digit.
     """
     c = H.focal_distance
-    k = H.a / c
-    K, tail = _gauss_legendre(H.b / c)
+    k, kp = H.a / c, H.b / c
+    if kp == 0.0:
+        raise DomainError(f"b/a underflows, got a={H.a!r}, b={H.b!r}")
+    K, tail, _ = _legendre(kp)
     return c * K * (0.5 * k * k - tail)
 
 

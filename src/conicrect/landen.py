@@ -13,13 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .agm import (
-    _amplitude_step,
-    _descend_modulus,
-    complete_E,
-    complete_K,
-    incomplete_F,
-)
+from .agm import _amplitude_step, _legendre, complement, complete_E, complete_K, incomplete_F
 from .errors import DomainError
 from .quadrature import integrate
 
@@ -42,7 +36,8 @@ __all__ = [
 class LagrangeParams:
     """One AGM step (p, q) -> (p1, q1) = ((p+q)/2, sqrt(pq)).
 
-    Requires 0 < q <= p < inf; the derived means are computed on construction.
+    Requires 0 < q <= p < inf with finite means (p + q and p q must not
+    overflow); the derived means are computed on construction.
     """
 
     p: float
@@ -57,6 +52,10 @@ class LagrangeParams:
             )
         object.__setattr__(self, "p1", 0.5 * (self.p + self.q))
         object.__setattr__(self, "q1", math.sqrt(self.p * self.q))
+        if not (self.p1 < math.inf and self.q1 < math.inf):
+            raise DomainError(
+                f"LagrangeParams means overflow, got p={self.p!r}, q={self.q!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,22 +88,24 @@ def modulus_descend(k_hat: float) -> float:
     """Inverse of the ascending map: k = (1-k')/(1+k') with k' = sqrt(1-k_hat^2)."""
     if not 0.0 <= k_hat <= 1.0:
         raise DomainError(f"modulus must lie in [0, 1], got {k_hat!r}")
-    return _descend_modulus(k_hat)
+    r = k_hat / (1.0 + complement(k_hat))  # (1-k')/(1+k') = (k_hat/(1+k'))^2
+    return r * r
 
 
 def amplitude_map(phi_hat: float, k: float) -> float:
     """Amplitude on the smaller-modulus side of one descending step.
 
-    Solves tan(phi) = sin(2 phi_hat)/(k + cos(2 phi_hat)) on the continuous
-    increasing branch (equivalently sin(2 phi_hat - phi) = k sin(phi)).  For
-    phi_hat in [0, pi/2] the result lies in [0, pi]; it passes pi/2 exactly
-    at phi_hat = pi/4 + arcsin(k)/2 and reaches pi in the complete case.
+    The amplitude step of the AGM (1 + k, 1 - k):
+    phi = phi_hat + arctan(((1 - k)/(1 + k)) tan(phi_hat)), the continuous
+    increasing solution of sin(2 phi_hat - phi) = k sin(phi).  For phi_hat
+    in [0, pi/2] the result lies in [0, pi]; it passes pi/2 exactly at
+    phi_hat = pi/4 + arcsin(k)/2 and reaches pi in the complete case.
     """
     if not 0.0 <= phi_hat <= 0.5 * math.pi:
         raise DomainError(f"phi_hat must lie in [0, pi/2], got {phi_hat!r}")
     if not 0.0 <= k < 1.0:
         raise DomainError(f"modulus must lie in [0, 1), got {k!r}")
-    return _amplitude_step(phi_hat, k)
+    return _amplitude_step(phi_hat, 1.0 + k, 1.0 - k)
 
 
 def amplitude_inverse(phi: float, k: float) -> float:
@@ -157,11 +158,18 @@ def upper_limit(x: float, params: LagrangeParams) -> float:
 
 
 def check_gleichung(phi: float, k: float) -> ResidualReport:
-    """Residual of F(phi, k) = 2/(1+k) F(phi_hat, k_hat) across one AGM step."""
+    """Residual of F(phi, k) = 2/(1+k) F(phi_hat, k_hat) across one AGM step.
+
+    The right side takes the ascended modulus by its exact complement
+    k_hat' = (1 - k)/(1 + k), so it stays defined where k_hat = 2 sqrt(k)/(1+k)
+    rounds to 1.  As k -> 1 and phi -> pi/2 the right side is ill-conditioned
+    in phi_hat: dF/dphi_hat = 1/sqrt(1 - k_hat^2 sin^2(phi_hat)) reaches
+    ~1.4e6 at (pi/2, 1 - 1e-12), so half an ulp of phi_hat ~ pi/2 - 7e-7
+    leaves a residual of ~1.6e-10 there, though each side is accurate.
+    """
     lhs = incomplete_F(phi, k)
-    k_hat = modulus_ascend(k)
     phi_hat = amplitude_inverse(phi, k)
-    rhs = 2.0 / (1.0 + k) * incomplete_F(phi_hat, k_hat)
+    rhs = 2.0 / (1.0 + k) * _legendre((1.0 - k) / (1.0 + k), phi_hat)[0]
     return ResidualReport("gleichung", {"phi": phi, "k": k}, lhs, rhs)
 
 

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 from conicrect import (
     ConvergenceError,
     DomainError,
+    Ellipse,
     Hyperbola,
     Tolerance,
     agm,
+    amplitude_inverse,
+    amplitude_map,
     check_borwein,
     check_gleichung,
     complete_E,
     complete_K,
+    ellipse_arc,
+    ellipse_quadrant,
     excess_infinity_closed,
     excess_infinity_landen,
     incomplete_E,
@@ -301,15 +306,19 @@ def test_kernels_never_reach_the_oracle(monkeypatch):
         for phi in (0.3, HALF_PI):
             incomplete_F(phi, k)
             incomplete_E(phi, k)
-            if k < 1.0 - 1e-12:
-                check_gleichung(phi, k)
-            else:  # the ascended modulus rounds to 1, outside F's domain
-                with pytest.raises(DomainError):
-                    check_gleichung(phi, k)
+            check_gleichung(phi, k)
+            amplitude_map(phi, k)
+            amplitude_inverse(phi, k)
         if k > 0.0:
             H = Hyperbola(k, complement(k))  # modulus a / sqrt(a^2 + b^2) = k
             excess_infinity_closed(H)
             excess_infinity_landen(semiaxes_to_pair(H.a, H.b))
+            E = Ellipse(1.0, complement(k))  # eccentricity k
+            ellipse_arc(E, 0.0, 0.5)
+            ellipse_arc(E, 0.25, 1.0)
+            ellipse_quadrant(E)
     complete_E(1.0)
     incomplete_E(HALF_PI, 1.0)
     lemniscate(1.0)
+    agm(1.0, 1e-12)
+    agm(0.5, 2.0)

@@ -354,6 +354,10 @@ class TestExcess:
     def test_closed_degenerate_limit(self):
         assert excess_infinity_closed(Hyperbola(1e-8, 1.0)) < 1e-7
 
+    def test_closed_ratio_underflow(self):
+        with pytest.raises(DomainError):
+            excess_infinity_closed(Hyperbola(1e300, 1e-300))
+
     def test_series_example(self):
         val = excess_infinity_series(Hyperbola(0.1, 1.0), 3)
         assert val == pytest.approx(

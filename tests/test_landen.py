@@ -158,6 +158,10 @@ class TestLagrangeParams:
         for p, q in ((math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan), (math.inf, math.inf)):
             with pytest.raises(DomainError):
                 LagrangeParams(p, q)
+        # finite p, q whose sum or product overflows
+        for p, q in ((1.7e308, 1e308), (1e200, 1e150)):
+            with pytest.raises(DomainError):
+                LagrangeParams(p, q)
 
 
 class TestSubstitution:
@@ -258,6 +262,21 @@ class TestGleichung:
             for k in [0.1 * j for j in range(1, 10)]:
                 assert check_gleichung(phi, k).residual < 1e-12
 
+    def test_ascended_modulus_near_one(self):
+        # k_hat = 2 sqrt(k)/(1+k) rounds to 1 for most of these k; the right
+        # side runs on its exact complement (1-k)/(1+k) instead.  Past the
+        # 1e-12 budget only the rounding of phi_hat may show: half an ulp of
+        # phi_hat times the slope 2/(1+k) dF(phi_hat, k_hat)/dphi_hat
+        rng = random.Random(6021)
+        for _ in range(3000):
+            phi, k = rng.uniform(0.0, HALF_PI), 1.0 - 10.0 ** -rng.uniform(6.0, 12.0)
+            phi_hat = amplitude_inverse(phi, k)
+            kc = (1.0 - k) / (1.0 + k)
+            slope = 2.0 / (1.0 + k) / math.hypot(kc, math.sqrt(1.0 - kc * kc) * math.cos(phi_hat))
+            assert check_gleichung(phi, k).residual <= 1e-12 + 0.5 * math.ulp(phi_hat) * slope
+        # the documented corner: half an ulp of phi_hat ~ pi/2 - 7e-7 times ~1.4e6
+        assert check_gleichung(HALF_PI, 1.0 - 1e-12).residual <= 2e-10
+
 
 class TestBorwein:
     def test_zero(self):
@@ -336,6 +355,9 @@ class TestAgmInvariance:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 check_agm_invariance(bad, 1.0, 0.5)
+        for x, p, q in ((1e-309, 1.7e308, 1e308), (1e-201, 1e200, 1e150)):
+            with pytest.raises(DomainError):
+                check_agm_invariance(x, p, q)
 
 
 def test_residual_report_fields():

@@ -12,16 +12,15 @@ cross-check against it compares two independent routes.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import Tolerance
 
 __all__ = [
     "AgmSequence",
     "LemniscateArcs",
-    "DEFAULT_AGM_TOLERANCE",
     "agm",
     "complete_K",
     "complete_E",
@@ -32,7 +31,8 @@ __all__ = [
     "lemniscate",
 ]
 
-DEFAULT_AGM_TOLERANCE = Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_iter=60)
+_STOP_ABS = _STOP_REL = 1e-15  # the AGM stops at p_n - q_n <= max(_STOP_ABS, _STOP_REL p_n)
+_MAX_STEPS = 60
 
 _SERIES_TERM_CAP = 200
 
@@ -80,15 +80,16 @@ def complement(k: float) -> float:
     return math.sqrt((1.0 - k) * (1.0 + k))
 
 
-def _agm_steps(p: float, q: float, tol: Tolerance) -> Iterator[tuple[float, float]]:
+def _agm_steps(
+    p: float, q: float, abs_tol: float = _STOP_ABS, rel_tol: float = _STOP_REL
+) -> Iterator[tuple[float, float]]:
     """The AGM iterates (p_n, q_n) from (p, q), p >= q > 0, the first included.
 
     Stops after the pair with p_n - q_n <= max(abs_tol, rel_tol * p_n), or
-    with a difference that stopped shrinking; raises after max_iter steps.
+    with a difference that stopped shrinking; raises after _MAX_STEPS steps.
     """
-    abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     prev_diff = math.inf
-    for _ in range(tol.max_iter + 1):
+    for _ in range(_MAX_STEPS + 1):
         yield p, q
         diff = p - q
         if diff <= abs_tol or diff <= rel_tol * p or diff >= prev_diff:
@@ -97,28 +98,38 @@ def _agm_steps(p: float, q: float, tol: Tolerance) -> Iterator[tuple[float, floa
         p, q = 0.5 * (p + q), math.sqrt(p * q)
         if q > p:  # sub-ulp rounding at convergence can invert the means
             q = p
-    raise ConvergenceError(f"agm failed to converge within {tol.max_iter} iterations")
+    raise ConvergenceError(f"agm failed to converge within {_MAX_STEPS} iterations")
 
 
-def agm(p0: float, q0: float, tol: Tolerance = DEFAULT_AGM_TOLERANCE) -> AgmSequence:
+def agm(p0: float, q0: float, tol: float | None = None) -> AgmSequence:
     """Arithmetic-geometric mean iteration with full history.
 
-    Inputs must be positive and finite; if p0 < q0 they are swapped and the
-    swap is recorded.  Terminates when |p_n - q_n| <= max(abs_tol, rel_tol * p_n).
+    Inputs must be positive and finite, with q0/p0 in the normal range; if
+    p0 < q0 they are swapped and the swap is recorded.  The walk runs on the
+    inputs scaled by the power of two that takes p0 into [0.5, 1), so it
+    neither overflows nor underflows, and its iterates and limit are scaled
+    back exactly.  It stops at p_n - q_n <= tol, an absolute tolerance, or
+    by default at max(1e-15, 1e-15 p_n) on the scaled iterates.
     """
     if not (0.0 < p0 < math.inf and 0.0 < q0 < math.inf):
         raise DomainError(f"agm requires positive finite inputs, got p0={p0!r}, q0={q0!r}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise DomainError(f"agm tolerance must be positive and finite, got {tol!r}")
     swapped = p0 < q0
     if swapped:
         p0, q0 = q0, p0
-    iterates = tuple(_agm_steps(p0, q0, tol))
-    p, q = iterates[-1]
+    e = math.frexp(p0)[1]
+    p, q = math.ldexp(p0, -e), math.ldexp(q0, -e)
+    if q < sys.float_info.min:
+        raise DomainError(f"agm requires q0/p0 in the normal range, got p0={p0!r}, q0={q0!r}")
+    scaled = tuple(_agm_steps(p, q) if tol is None else _agm_steps(p, q, math.ldexp(tol, -e), 0.0))
+    p, q = scaled[-1]
     return AgmSequence(
         p0=p0,
         q0=q0,
-        iterates=iterates,
-        limit=0.5 * (p + q),
-        iterations=len(iterates) - 1,
+        iterates=tuple((math.ldexp(pn, e), math.ldexp(qn, e)) for pn, qn in scaled),
+        limit=math.ldexp(0.5 * (p + q), e),
+        iterations=len(scaled) - 1,
         swapped=swapped,
     )
 
@@ -146,7 +157,7 @@ def _legendre(kp: float, phi: float | None = None) -> tuple[float, float, float]
     """
     weight = 0.5
     tail = sines = 0.0
-    for a, b in _agm_steps(1.0, kp, DEFAULT_AGM_TOLERANCE):
+    for a, b in _agm_steps(1.0, kp):
         c = 0.5 * (a - b)
         weight *= 2.0
         tail += weight * c * c
@@ -207,41 +218,40 @@ def incomplete_E(phi: float, k: float) -> float:
     return _second_kind(k, phi)
 
 
+def _series_terms(kind: str, k: float, terms: int) -> list[float]:
+    """The terms c_n k^(2n), over (1 - 2n) for E, for n = 0 .. min(terms, 200):
+    the series truncated at ``terms`` and its first omitted term."""
+    if kind not in ("K", "E"):
+        raise DomainError(f"kind must be 'K' or 'E', got {kind!r}")
+    if terms < 1:
+        raise DomainError(f"terms must be at least 1, got {terms!r}")
+    _check_modulus(k)
+    m = k * k
+    coeff = 1.0
+    out = [1.0]
+    for n in range(1, min(terms, _SERIES_TERM_CAP) + 1):
+        ratio = (2.0 * n - 1.0) / (2.0 * n)
+        coeff *= ratio * ratio * m
+        out.append(coeff if kind == "K" else coeff / (1.0 - 2.0 * n))
+    return out
+
+
 def series_KE(kind: str, k: float, terms: int) -> float:
     """Truncated hypergeometric series for K or E.
 
     K: (pi/2) * sum c_n k^(2n),  E: (pi/2) * sum c_n k^(2n) / (1 - 2n), with
     c_n = [(2n)! / (2^(2n) (n!)^2)]^2.  ``terms`` is capped at 200.
     """
-    if kind not in ("K", "E"):
-        raise DomainError(f"kind must be 'K' or 'E', got {kind!r}")
-    if terms < 1:
-        raise DomainError(f"terms must be at least 1, got {terms!r}")
-    _check_modulus(k)
-    terms = min(terms, _SERIES_TERM_CAP)
-    m = k * k
-    coeff = 1.0
-    total = 1.0
-    for n in range(1, terms):
-        ratio = (2.0 * n - 1.0) / (2.0 * n)
-        coeff *= ratio * ratio * m
-        total += coeff if kind == "K" else coeff / (1.0 - 2.0 * n)
+    total = 0.0
+    for term in _series_terms(kind, k, terms)[:-1]:
+        total += term
     return 0.5 * math.pi * total
 
 
 def series_truncation_bound(kind: str, k: float, terms: int) -> float:
     """Bound on the truncation error: |first omitted term| / (1 - k^2)."""
-    if kind not in ("K", "E"):
-        raise DomainError(f"kind must be 'K' or 'E', got {kind!r}")
-    _check_modulus(k)
-    terms = min(terms, _SERIES_TERM_CAP)
-    m = k * k
-    coeff = 1.0
-    for n in range(1, terms + 1):
-        ratio = (2.0 * n - 1.0) / (2.0 * n)
-        coeff *= ratio * ratio * m
-    first_omitted = coeff if kind == "K" else coeff / (2.0 * terms - 1.0)
-    return 0.5 * math.pi * first_omitted / (1.0 - m)
+    first_omitted = abs(_series_terms(kind, k, terms)[-1])
+    return 0.5 * math.pi * first_omitted / (1.0 - k * k)
 
 
 def lemniscate(radius: float) -> LemniscateArcs:
@@ -253,7 +263,8 @@ def lemniscate(radius: float) -> LemniscateArcs:
     """
     if not 0.0 < radius < math.inf:
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
-    limit = agm(1.0, math.sqrt(2.0)).limit
+    *_, (p, q) = _agm_steps(math.sqrt(2.0), 1.0)
+    limit = 0.5 * (p + q)
     full_arc = 2.0 * math.pi * radius / limit
     return LemniscateArcs(
         quarter_arc=0.25 * full_arc,

@@ -29,7 +29,6 @@ from . import conics as _conics
 from . import construction as _construction
 from . import landen as _landen
 from .agm import (
-    DEFAULT_AGM_TOLERANCE,
     agm,
     complete_E,
     complete_K,
@@ -38,7 +37,6 @@ from .agm import (
     lemniscate,
 )
 from .errors import ConvergenceError, DomainError
-from .quadrature import Tolerance
 
 SCHEMA_VERSION = 1
 
@@ -171,10 +169,7 @@ def _take(args: argparse.Namespace, op: str, names: tuple[str, ...]) -> dict[str
 
 
 def _cmd_agm(args: argparse.Namespace) -> int:
-    tol = DEFAULT_AGM_TOLERANCE
-    if args.tol is not None:
-        tol = Tolerance(abs_tol=args.tol, rel_tol=0.0, max_iter=60)
-    seq = agm(args.p, args.q, tol)
+    seq = agm(args.p, args.q, args.tol)
     values = {"limit": seq.limit, "iterates": [[pn, qn] for pn, qn in seq.iterates]}
     flags = ["inputs-swapped"] if seq.swapped else []
     inputs = {"p": args.p, "q": args.q}

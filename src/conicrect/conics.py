@@ -47,9 +47,6 @@ __all__ = [
     "maclaurin_excess_integrand",
 ]
 
-TANGENT_GUARD = 1e-8  # (m - n - t)/(m - n) below this is ill-conditioned
-
-
 @dataclass(frozen=True)
 class Hyperbola:
     """Hyperbola x^2/a^2 - y^2/b^2 = 1 with a the transverse semiaxis."""
@@ -176,11 +173,6 @@ def pair_to_semiaxes(pair: LandenPair) -> tuple[float, float]:
 def _check_pedal(H: Hyperbola, p: float) -> None:
     if not 0.0 < p <= H.a:
         raise DomainError(f"pedal distance must lie in (0, a] = (0, {H.a!r}], got {p!r}")
-
-
-def tangent_in_guard_band(pair: LandenPair, t: float) -> bool:
-    span = pair.m - pair.n
-    return span - t < TANGENT_GUARD * span
 
 
 def _branch_root(H: Hyperbola, p: float) -> float:

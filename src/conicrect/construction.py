@@ -19,7 +19,6 @@ from .conics import (
     abscissae_from_tangent,
     ellipse_tangent_length,
     hyperbola_point_from_pedal,
-    tangent_in_guard_band,
 )
 from .errors import DomainError
 
@@ -63,10 +62,6 @@ def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:
     m, n = pair.m, pair.n
     if not 0.0 < t < m - n:
         raise DomainError(f"t must lie in (0, m-n) = (0, {m - n!r}), got {t!r}")
-    if tangent_in_guard_band(pair, t):
-        raise DomainError(
-            "t is within the guard band of its maximum m-n; the bitangent geometry degenerates"
-        )
     hyp = pair.hyperbola
     a = hyp.a
     b = hyp.b
@@ -97,14 +92,19 @@ def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:
 
 
 def validate_points(points: ConstructionPoints, pair: LandenPair, t: float) -> dict[str, float]:
-    """Residual of each point against its defining equation."""
+    """Residual of each point against its defining equation.
+
+    The on-hyperbola residual is relative to x^2/a^2 and F's pedal distance
+    is relative to p, so neither cancels as F recedes while t -> m - n.
+    """
     m, n = pair.m, pair.n
     hyp = pair.hyperbola
     a, b = hyp.a, hyp.b
     p = points.pedal_radius
 
     def on_hyperbola(pt: tuple[float, float]) -> float:
-        return abs((pt[0] / a) ** 2 - (pt[1] / b) ** 2 - 1.0)
+        u = (pt[0] / a) ** 2
+        return abs(u - (pt[1] / b) ** 2 - 1.0) / u
 
     def on_inner_ellipse(pt: tuple[float, float]) -> float:
         return abs((pt[0] / m) ** 2 + (pt[1] / n) ** 2 - 1.0)
@@ -126,7 +126,7 @@ def validate_points(points: ConstructionPoints, pair: LandenPair, t: float) -> d
         + abs(math.hypot(px - x_e, py - y_e) - t),
         "H": abs(points.H[0] - a) + abs(points.H[1] - t),
         "K": abs(math.hypot(kx, ky) - p) + abs(math.hypot(kx - a, ky) - t),
-        "F": on_hyperbola(points.F) + abs(pedal_of_f - p),
+        "F": on_hyperbola(points.F) + abs(pedal_of_f - p) / p,
     }
     return residuals
 

@@ -11,6 +11,7 @@ diagnosable from the report alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .agm import _amplitude_step, _legendre, complement, complete_E, complete_K, incomplete_F
@@ -37,7 +38,8 @@ class LagrangeParams:
     """One AGM step (p, q) -> (p1, q1) = ((p+q)/2, sqrt(pq)).
 
     Requires 0 < q <= p < inf with finite means (p + q and p q must not
-    overflow); the derived means are computed on construction.
+    overflow) and p q no smaller than the smallest normal double; the
+    derived means are computed on construction.
     """
 
     p: float
@@ -55,6 +57,10 @@ class LagrangeParams:
         if not (self.p1 < math.inf and self.q1 < math.inf):
             raise DomainError(
                 f"LagrangeParams means overflow, got p={self.p!r}, q={self.q!r}"
+            )
+        if self.p * self.q < sys.float_info.min:
+            raise DomainError(
+                f"LagrangeParams product p q underflows, got p={self.p!r}, q={self.q!r}"
             )
 
 

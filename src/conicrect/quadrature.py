@@ -32,8 +32,7 @@ SingularEndpoints = Literal["none", "lo", "hi", "both"]
 class Tolerance:
     """Accuracy contract: |error| <= max(abs_tol, rel_tol * |value|).
 
-    ``max_iter`` bounds integrand evaluations for quadrature and mean steps
-    for the AGM-style iterations that reuse this type.
+    ``max_iter`` bounds integrand evaluations.
     """
 
     abs_tol: float = 1e-13

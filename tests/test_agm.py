@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from conicrect import (
     DomainError,
     Ellipse,
     Hyperbola,
-    Tolerance,
     agm,
     amplitude_inverse,
     amplitude_map,
@@ -109,10 +109,46 @@ class TestAgm:
                 agm(bad, 1.0)
             with pytest.raises(DomainError):
                 agm(1.0, bad)
+        # q0/p0 below the normal range, and a tol that is not positive and finite
+        for p, q in ((1e300, 1e-300), (1e-300, 1e300)):
+            with pytest.raises(DomainError):
+                agm(p, q)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                agm(1.0, 0.8, bad)
 
-    def test_max_iter_reported(self):
+    def test_max_iter_reported(self, monkeypatch):
+        # conicrect.agm is the function; its module holds the step bound
+        monkeypatch.setattr(sys.modules["conicrect.agm"], "_MAX_STEPS", 2)
         with pytest.raises(ConvergenceError):
-            agm(1.0, 0.8, Tolerance(abs_tol=1e-15, rel_tol=0.0, max_iter=2))
+            agm(1.0, 0.8, 1e-15)
+
+    def test_extreme_scales(self):
+        # mpmath 1.3.0, 40 digits: agm(p, q)
+        for p, q, expected in (
+            (1e200, 1e100, 6.781055745575450678538716e197),
+            (1e300, 1e-6, 2.224995412425526277821605e297),
+            (1.7e308, 1e308, 1.326819871701979857853879e308),
+            (1e-20, 1e-21, 4.250407094932274585823801e-21),
+            (1e-300, 1e-310, 6.434487047601331642288061e-302),
+        ):
+            assert abs(agm(p, q).limit - expected) <= 1e-15 * expected
+
+    def test_power_of_two_scaling_is_exact(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            p, q = rng.uniform(1e-3, 1e3), rng.uniform(1e-3, 1e3)
+            base = agm(p, q)
+            for j in range(-1000, 1001, 125):
+                seq = agm(math.ldexp(p, j), math.ldexp(q, j))
+                assert seq.limit == math.ldexp(base.limit, j)
+                assert seq.iterations == base.iterations
+
+    def test_tol_is_absolute(self):
+        seq = agm(1.0, 0.8, 1e-3)
+        p, q = seq.iterates[-1]
+        p_prev, q_prev = seq.iterates[-2]
+        assert p - q <= 1e-3 < p_prev - q_prev
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -248,12 +284,11 @@ class TestSeries:
                 assert abs(series_KE("E", k, terms) - complete_E(k)) <= bound_e + 1e-14
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            series_KE("K", 1.0, 10)
-        with pytest.raises(DomainError):
-            series_KE("X", 0.5, 10)
-        with pytest.raises(DomainError):
-            series_KE("K", 0.5, 0)
+        # the bound takes the same (kind, k, terms) as the series it bounds
+        for fn in (series_KE, series_truncation_bound):
+            for kind, k, terms in (("K", 1.0, 10), ("X", 0.5, 10), ("K", 0.5, 0), ("E", 0.5, 0), ("K", 0.5, -3)):
+                with pytest.raises(DomainError):
+                    fn(kind, k, terms)
 
 
 class TestLemniscate:

@@ -87,8 +87,25 @@ def test_svg_structure_and_determinism():
 
 
 def test_guard_band_rejected():
+    # no guard band below m - n: the figure renders and validates there
     pair = LandenPair(2.0, 1.0)
-    with pytest.raises(DomainError):
-        construction_points(pair, 1.0 - 1e-12)
+    t = 1.0 - 1e-12
+    render_svg(pair, t)
+    residuals = validate_points(construction_points(pair, t), pair, t)
+    assert max(residuals.values()) <= 1e-9
     with pytest.raises(DomainError):
         render_svg(pair, 1.5)
+
+
+def test_renders_up_to_m_minus_n():
+    # residuals are scale-relative, so F validates however far it recedes
+    for m, n in ((2.0, 1.0), (1.0, 0.01), (0.7, 0.5), (1.5, 0.3), (1e3, 999.0)):
+        pair = LandenPair(m, n)
+        span = m - n
+        for t in [span * (1.0 - 10.0**-j) for j in range(6, 15)] + [math.nextafter(span, 0.0)]:
+            render_svg(pair, t)
+            residuals = validate_points(construction_points(pair, t), pair, t)
+            assert max(residuals.values()) <= 1e-9, (m, n, t)
+        for t in (span, math.nextafter(span, math.inf)):
+            with pytest.raises(DomainError):
+                render_svg(pair, t)

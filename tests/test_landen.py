@@ -158,10 +158,12 @@ class TestLagrangeParams:
         for p, q in ((math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan), (math.inf, math.inf)):
             with pytest.raises(DomainError):
                 LagrangeParams(p, q)
-        # finite p, q whose sum or product overflows
-        for p, q in ((1.7e308, 1e308), (1e200, 1e150)):
+        # finite p, q whose sum or product overflows, or whose product is
+        # below the smallest normal double: zero, or subnormal
+        for p, q in ((1.7e308, 1e308), (1e200, 1e150), (1e-200, 1e-201), (1e-160, 1e-160)):
             with pytest.raises(DomainError):
                 LagrangeParams(p, q)
+        assert LagrangeParams(1e-150, 1e-150).q1 == pytest.approx(1e-150, rel=1e-15)
 
 
 class TestSubstitution:
@@ -355,7 +357,8 @@ class TestAgmInvariance:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 check_agm_invariance(bad, 1.0, 0.5)
-        for x, p, q in ((1e-309, 1.7e308, 1e308), (1e-201, 1e200, 1e150)):
+        # p q overflows, or underflows (q1 = 0.0 left a 2e-3 relative residual)
+        for x, p, q in ((1e-309, 1.7e308, 1e308), (1e-201, 1e200, 1e150), (5e199, 1e-200, 1e-201)):
             with pytest.raises(DomainError):
                 check_agm_invariance(x, p, q)
 

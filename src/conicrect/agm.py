@@ -257,17 +257,22 @@ def series_truncation_bound(kind: str, k: float, terms: int) -> float:
 def lemniscate(radius: float) -> LemniscateArcs:
     """Arc lengths of the lemniscate (x^2+y^2)^2 = R^2 (x^2-y^2).
 
-    full_arc = 2 pi R / M(1, sqrt(2)); gauss_constant = 1/M(1, sqrt(2));
-    quarter_arc = (R/sqrt(2)) K(1/sqrt(2)), which is exactly full_arc/4, so
-    one AGM run gives all three.
+    quarter_arc = (R/sqrt(2)) K(1/sqrt(2)) = pi R / (2 M(1, sqrt(2)));
+    full_arc = 4 quarter_arc; gauss_constant = 1/M(1, sqrt(2)), so one AGM
+    run gives all three.  The quarter arc is formed first, so it stays
+    finite for every radius whose full arc does; a full arc that overflows
+    raises DomainError.
     """
     if not 0.0 < radius < math.inf:
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
     *_, (p, q) = _agm_steps(math.sqrt(2.0), 1.0)
     limit = 0.5 * (p + q)
-    full_arc = 2.0 * math.pi * radius / limit
+    quarter_arc = 0.5 * math.pi * radius / limit
+    full_arc = 4.0 * quarter_arc
+    if full_arc == math.inf:
+        raise DomainError(f"the full arc overflows at radius {radius!r}")
     return LemniscateArcs(
-        quarter_arc=0.25 * full_arc,
+        quarter_arc=quarter_arc,
         full_arc=full_arc,
         gauss_constant=1.0 / limit,
     )

@@ -319,6 +319,26 @@ class TestLemniscate:
             with pytest.raises(DomainError):
                 lemniscate(bad)
 
+    def test_overflowing_full_arc_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            lemniscate(1e308)
+        largest = 3.428019975991033e307  # the last radius whose full arc is finite
+        arcs = lemniscate(largest)
+        assert arcs.full_arc == 4.0 * arcs.quarter_arc < math.inf
+        with pytest.raises(DomainError):
+            lemniscate(math.nextafter(largest, math.inf))
+
+    def test_quarter_arc_first_keeps_the_bits(self):
+        # pi R / (2M) and a quarter of 2 pi R / M differ only by powers of two
+        *_, (p, q) = sys.modules["conicrect.agm"]._agm_steps(math.sqrt(2.0), 1.0)
+        limit = 0.5 * (p + q)
+        rng = random.Random(308)
+        for _ in range(3000):
+            radius = 10.0 ** rng.uniform(-3.0, 3.0)
+            full_arc = 2.0 * math.pi * radius / limit
+            arcs = lemniscate(radius)
+            assert (arcs.quarter_arc, arcs.full_arc) == (0.25 * full_arc, full_arc)
+
 
 class OracleCalled(Exception):
     pass

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conicrect import DomainError, IntegrandError, Tolerance, integrate
+from conicrect import DEFAULT_TOLERANCE, DomainError, IntegrandError, Tolerance, integrate
 
 
 def test_polynomial():
@@ -123,3 +123,121 @@ def test_error_estimate_honest_when_converged():
     r = integrate(lambda t: math.exp(t), 0.0, 1.0)
     assert r.converged
     assert abs(r.value - (math.e - 1.0)) <= max(1e-13, r.error_estimate)
+
+
+def _excess_integrand(a, b):
+    # excess_finite's integrand in theta: a^2 cos^2 / sqrt(b^2 + a^2 cos^2)
+    a2, b2 = a * a, b * b
+
+    def f(phi):
+        cos = math.cos(phi)
+        w = a2 * cos * cos
+        return w / math.sqrt(b2 + w)
+
+    return f
+
+
+def _theta(a, p):
+    return math.atan2(math.sqrt((a - p) * (a + p)), p)
+
+
+# Every bit the oracle reports, recorded before its panel was unrolled:
+# (repr(value), repr(error_estimate), evaluations, converged).
+PINNED = {
+    "exp": (
+        (math.exp, 0.0, 1.0, "none", DEFAULT_TOLERANCE),
+        ("1.718281828459045", "0.0", 15, True),
+    ),
+    "cos-oscillating": (
+        (lambda t: math.cos(30.0 * t), 0.0, 3.0, "none", DEFAULT_TOLERANCE),
+        ("0.02979988878668522", "4.107557123738272e-16", 945, True),
+    ),
+    "excess-b/a=0.01": (
+        (_excess_integrand(1.0, 0.01), 0.0, _theta(1.0, 0.3), "none", DEFAULT_TOLERANCE),
+        ("0.9538455337813099", "1.1013941317754598e-14", 45, True),
+    ),
+    "excess-b/a=0.01-p=1e-6": (
+        (_excess_integrand(1.0, 0.01), 0.0, _theta(1.0, 1e-6), "none", DEFAULT_TOLERANCE),
+        ("0.9997254359748291", "1.7593848314175952e-14", 225, True),
+    ),
+    "singular-lo": (
+        (lambda t: math.cos(t) / math.sqrt(t), 0.0, 1.0, "lo", DEFAULT_TOLERANCE),
+        ("1.809048475800544", "9.155989676921463e-14", 15, True),
+    ),
+    "singular-hi": (
+        (lambda t: 1.0 / math.sqrt(1.0 - t**4), 0.0, 1.0, "hi", DEFAULT_TOLERANCE),
+        ("1.3110287771460376", "2.516410837845003e-16", 75, True),
+    ),
+    "singular-hi-kink": (
+        (lambda t: (1.0 - t) ** -0.25, 0.0, 1.0, "hi", DEFAULT_TOLERANCE),
+        ("1.333333333333012", "1.2971115256541359e-12", 1395, True),
+    ),
+    "singular-both": (
+        (lambda t: t**-0.5 + (1.0 - t) ** -0.5, 0.0, 1.0, "both", DEFAULT_TOLERANCE),
+        ("3.9999999999999774", "1.5211905424480242e-12", 90, True),
+    ),
+    "reversed": (
+        (math.cos, 1.0, 0.0, "none", DEFAULT_TOLERANCE),
+        ("-0.8414709848078965", "0.0", 15, True),
+    ),
+    "reversed-singular-lo": (
+        (lambda t: 1.0 / math.sqrt(1.0 - t), 1.0, 0.0, "lo", DEFAULT_TOLERANCE),
+        ("-1.9999999999999785", "4.1567510586802654e-14", 15, True),
+    ),
+    "budget-exhausted": (
+        (
+            lambda t: abs(t - 1.0 / 3.0),
+            0.0,
+            1.0,
+            "none",
+            Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_iter=60),
+        ),
+        ("0.2778201309957064", "0.009544838632354474", 75, False),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_pinned_bits(case):
+    (f, lo, hi, singular, tol), expected = PINNED[case]
+    r = integrate(f, lo, hi, tol, singular)
+    assert (repr(r.value), repr(r.error_estimate), r.evaluations, r.converged) == expected
+
+
+def _nan_where(inside):
+    return lambda t: math.nan if inside(t) else 1.0 + t
+
+
+@pytest.mark.parametrize(
+    "inside, node",
+    [
+        # the panel on [0, 1] samples 0.5, then 0.5 -/+ d_i for i = 0..6
+        (lambda t: t > 0.7, "0.9957276855604063"),
+        (lambda t: 0.6 < t < 0.8, "0.7930436177338456"),
+        (lambda t: t < 0.3, "0.004272314439593694"),
+        (lambda t: t == 0.5, "0.5"),
+    ],
+)
+def test_nan_names_the_first_node_in_sampling_order(inside, node):
+    with pytest.raises(IntegrandError) as info:
+        integrate(_nan_where(inside), 0.0, 1.0)
+    assert str(info.value) == f"integrand returned NaN at x={node}"
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda t: math.inf if t > 0.99 else 1.0,
+        lambda t: math.inf if t > 0.99 else (-math.inf if t < 0.01 else 1.0),
+    ],
+    ids=["+inf", "+inf-and--inf"],
+)
+def test_infinite_values_are_not_nan_values(f):
+    # the sums turn NaN, but no value was NaN, so nothing raises
+    r = integrate(f, 0.0, 1.0, Tolerance(max_iter=200))
+    assert (repr(r.value), repr(r.error_estimate), r.evaluations, r.converged) == (
+        "nan",
+        "nan",
+        225,
+        False,
+    )

@@ -398,6 +398,16 @@ def _eta1_integrand(pair: LandenPair):
     return f
 
 
+def _tangent_angles(pair: LandenPair, t: float) -> tuple[float, float]:
+    """Angles asin(x/m) of the two inner-ellipse abscissae x- <= x+ whose
+    tangent length is t, for t strictly inside (0, m - n)."""
+    m, n = pair.m, pair.n
+    if not 0.0 < t < m - n:
+        raise DomainError(f"t must lie in (0, m-n) = (0, {m - n!r}), got {t!r}")
+    x_minus, x_plus = abscissae_from_tangent(pair, t)
+    return math.asin(min(x_minus / m, 1.0)), math.asin(min(x_plus / m, 1.0))
+
+
 def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, ResidualReport]:
     """Verify Hyp = t_Hyp + 2t + eta1 - 4 eta2 with all arcs from the oracle.
 
@@ -407,15 +417,12 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     fagnano_check also integrates.
     """
     m, n = pair.m, pair.n
-    if not 0.0 < t < m - n:
-        raise DomainError(f"t must lie in (0, m-n) = (0, {m - n!r}), got {t!r}")
+    theta_minus, _ = _tangent_angles(pair, t)
     H = pair.hyperbola
     p = math.sqrt((m - n - t) * (m - n + t))
     t_hyp = hyperbola_tangent_length(H, p)
     hyp_arc = hyperbola_arc(H, p)
     eta1 = integrate(_eta1_integrand(pair), 0.0, t).value
-    x_minus, _ = abscissae_from_tangent(pair, t)
-    theta_minus = math.asin(min(x_minus / m, 1.0))
     eta2 = integrate(_ellipse_arc_theta_integrand(pair.ellipse_inner), 0.0, theta_minus).value
     s1 = ellipse_quadrant(pair.ellipse_outer)
     s2 = ellipse_quadrant(pair.ellipse_inner)
@@ -459,16 +466,11 @@ def fagnano_check(pair: LandenPair, t: float) -> ResidualReport:
     t -> m - n the points coincide at the maximal-tangent point.  Both arcs
     come from the oracle on the angle form of the arc differential.
     """
-    m, n = pair.m, pair.n
-    if not 0.0 < t < m - n:
-        raise DomainError(f"t must lie in (0, m-n) = (0, {m - n!r}), got {t!r}")
-    x_minus, x_plus = abscissae_from_tangent(pair, t)
+    theta_minus, theta_plus = _tangent_angles(pair, t)
     ds = _ellipse_arc_theta_integrand(pair.ellipse_inner)
-    theta_minus = math.asin(min(x_minus / m, 1.0))
-    theta_plus = math.asin(min(x_plus / m, 1.0))
     lhs = integrate(ds, 0.0, theta_minus).value
     rhs = t + integrate(ds, theta_plus, 0.5 * math.pi).value
-    return ResidualReport("fagnano", {"m": m, "n": n, "t": t}, lhs, rhs)
+    return ResidualReport("fagnano", {"m": pair.m, "n": pair.n, "t": t}, lhs, rhs)
 
 
 def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
@@ -477,10 +479,12 @@ def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
     ds = (a/d) sqrt(1 - d^2 u^2) / (u^2 sqrt(1 - u^2)) du with
     d^2 = a^2/(a^2+b^2); u = 1 is the vertex, u -> 0 recedes along the
     branch with a non-integrable pole (the tangent-length part), so u0 = 0
-    is rejected.  Integrated in w = -ln(u), which turns the 1/u^2 growth into
-    e^w and puts the vertex's inverse-square-root end at w = 0, where
-    1 - u = -expm1(-w) stays accurate; (a/d) sqrt(1 - d^2 u^2) is written
-    as sqrt(b^2 + a^2 (1 - u^2)), which does not cancel when b << a.
+    is rejected.  In w = -ln(u) the 1/u^2 growth becomes e^w, the vertex's
+    inverse-square-root end sits at w = 0, where 1 - u = -expm1(-w) stays
+    accurate, and (a/d) sqrt(1 - d^2 u^2) is written as
+    sqrt(b^2 + a^2 (1 - u^2)), which does not cancel when b << a.  The
+    oracle then runs in t = sqrt(w), where 2 t f(t^2) is smooth up to and
+    through the vertex, so every u1 takes the same form.
     """
     if not 0.0 < u0 <= u1 <= 1.0:
         raise DomainError(f"need 0 < u0 <= u1 <= 1, got u0={u0!r}, u1={u1!r}")
@@ -493,8 +497,10 @@ def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
         v = -math.expm1(-w) * (1.0 + u)
         return math.sqrt(b2 + a2 * v) / (u * math.sqrt(v))
 
-    singular = "lo" if u1 >= 1.0 - 1e-12 else "none"
-    return integrate(f, -math.log(u1), -math.log(u0), singular_endpoints=singular).value
+    def g(t: float) -> float:
+        return 2.0 * t * f(t * t)
+
+    return integrate(g, math.sqrt(-math.log(u1)), math.sqrt(-math.log(u0))).value
 
 
 def maclaurin_excess_integrand(H: Hyperbola, p: float) -> float:

@@ -18,4 +18,5 @@ class ConvergenceError(ConicRectError, RuntimeError):
 
 
 class IntegrandError(ConicRectError, ArithmeticError):
-    """An integrand produced NaN; the offending abscissa is in the message."""
+    """An integrand produced NaN or an infinity, or finite values whose
+    integral overflows; the offending abscissa or interval is in the message."""

@@ -1,14 +1,13 @@
-"""Adaptive numerical integration with declared endpoint singularities.
+"""Adaptive numerical integration: the package's ground-truth oracle.
 
-This is the ground-truth oracle the rest of the package is checked against,
-so it deliberately shares no code with the closed-form kernels.  The driver
-is a global-adaptive bisection scored by an embedded Gauss-Kronrod 7/15
-pair.  An endpoint declared singular is regularized first: the square-root
-substitution x = endpoint -/+ v**2 turns a power singularity (1-x)**s into
-the factor v**(2s+1), smooth for the inverse-square-root family that arc
-lengths produce and integrable for any s > -1.  The substitution also keeps
-nodes well away from the endpoint, which bounds the cancellation noise an
-integrand incurs when it recomputes the endpoint distance from x.
+This is the oracle the rest of the package is checked against, so it
+deliberately shares no code with the closed-form kernels.  The driver is a
+global-adaptive bisection scored by an embedded Gauss-Kronrod 7/15 pair,
+under one fixed accuracy contract.  It takes no options: an integrand with
+an endpoint singularity is the caller's to regularize, for instance by the
+square-root substitution x = edge -/+ v**2, which turns (1-x)**s into the
+factor v**(2s+1) (smooth for the inverse-square-root family that arc
+lengths produce) and keeps every node away from the edge.
 
 Everything is deterministic: identical inputs produce identical panel
 splits, identical evaluation counts, and identical results.
@@ -19,44 +18,18 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 from .errors import DomainError, IntegrandError
 
-__all__ = ["Tolerance", "QuadratureResult", "integrate", "DEFAULT_TOLERANCE"]
+__all__ = ["QuadratureResult", "integrate"]
 
-SingularEndpoints = Literal["none", "lo", "hi", "both"]
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Accuracy contract: |error| <= max(abs_tol, rel_tol * |value|).
-
-    ``max_iter`` stops refinement: no panel is split once the integrand
-    evaluation count reaches it.  A split costs 30 evaluations, so the count
-    can end up to 29 past ``max_iter`` (75 at ``max_iter=60``).
-    """
-
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-12
-    max_iter: int = 2_000_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
-            raise DomainError(
-                f"abs_tol and rel_tol must be finite and nonnegative, "
-                f"got {self.abs_tol!r} and {self.rel_tol!r}"
-            )
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise DomainError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be a positive count")
-
-    def target(self, scale: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(scale))
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# Accuracy contract: |error| <= max(_ABS_TOL, _REL_TOL * |value|).  No panel
+# is split once the evaluation count reaches _MAX_EVALUATIONS; a split costs
+# 30 evaluations, so the count can end up to 29 past it.
+_ABS_TOL = 1e-13
+_REL_TOL = 1e-12
+_MAX_EVALUATIONS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -101,8 +74,10 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
 
     The nodes are unrolled and every sum adds its terms in the same order
     as the textbook loop, centre first, so each one rounds the same way.
-    A NaN value makes ``resk`` NaN, so one test per panel finds it; the
-    nodes are then scanned in evaluation order to name the first.
+    A NaN or infinite value makes ``resk`` non-finite, so one test per
+    panel finds it; the nodes are then scanned in evaluation order to name
+    the first.  Finite values whose weighted sum overflows are named by the
+    panel instead.
     """
     x0, x1, x2, x3, x4, x5, x6, _ = _XGK
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
@@ -129,7 +104,7 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
     s0, s1, s2, s3 = m0 + p0, m1 + p1, m2 + p2, m3 + p3
     s4, s5, s6 = m4 + p4, m5 + p5, m6 + p6
     resk = w7 * fc + w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4 + w5 * s5 + w6 * s6
-    if math.isnan(resk):
+    if not math.isfinite(resk):
         for x, y in (
             (center, fc),
             (center - d0, m0), (center + d0, p0), (center - d1, m1), (center + d1, p1),
@@ -137,8 +112,10 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
             (center - d4, m4), (center + d4, p4), (center - d5, m5), (center + d5, p5),
             (center - d6, m6), (center + d6, p6),
         ):
-            if math.isnan(y):
-                raise IntegrandError(f"integrand returned NaN at x={x!r}")
+            if not math.isfinite(y):
+                shown = "NaN" if math.isnan(y) else repr(y)
+                raise IntegrandError(f"integrand returned {shown} at x={x!r}")
+        raise IntegrandError(f"integrand values overflow the panel sum on [{a!r}, {b!r}]")
     resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
     # QUADPACK-style scaled error estimate.
     mean = resk * 0.5
@@ -155,103 +132,55 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
     return resk * half, err
 
 
-def _regularized_segments(
-    f: Callable[[float], float], lo: float, hi: float, singular: str
-) -> list[tuple[Callable[[float], float], float, float]]:
-    """Split [lo, hi] into segments whose integrands are panel-friendly."""
-    if singular == "none":
-        return [(f, lo, hi)]
+def integrate(f: Callable[[float], float], lo: float, hi: float) -> QuadratureResult:
+    """Integrate ``f`` over [lo, hi] to the module's fixed accuracy contract.
 
-    # Residual kinks (powers other than -1/2) can drive subdivision until a
-    # node's x rounds onto the endpoint; such nodes are nudged one ulp into
-    # the interior, which costs less than the sub-ulp mass itself.
-    def from_lo(edge: float, width: float) -> tuple[Callable[[float], float], float, float]:
-        def g(v: float) -> float:
-            x = edge + v * v
-            if x == edge:
-                x = math.nextafter(edge, math.inf)
-            return 2.0 * v * f(x)
-
-        return g, 0.0, math.sqrt(width)
-
-    def from_hi(edge: float, width: float) -> tuple[Callable[[float], float], float, float]:
-        def g(v: float) -> float:
-            x = edge - v * v
-            if x == edge:
-                x = math.nextafter(edge, -math.inf)
-            return 2.0 * v * f(x)
-
-        return g, 0.0, math.sqrt(width)
-
-    if singular == "lo":
-        return [from_lo(lo, hi - lo)]
-    if singular == "hi":
-        return [from_hi(hi, hi - lo)]
-    mid = 0.5 * (lo + hi)
-    return [from_lo(lo, mid - lo), from_hi(hi, hi - mid)]
-
-
-def integrate(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    singular_endpoints: SingularEndpoints = "none",
-) -> QuadratureResult:
-    """Integrate ``f`` over [lo, hi].
+    The target is |error| <= max(1e-13, 1e-12 |value|).  The panel with the
+    largest error estimate is bisected until the summed estimate meets it,
+    until panels reach a few ulps in width, or until the evaluation count
+    reaches 2,000,000 (it can pass that by up to 29).  Endpoints are never
+    sampled, but an endpoint singularity is the caller's to regularize
+    before the call, and known breakpoints are the caller's to split at.
 
     Args:
         f: integrand, finite on the open interval.
-        lo, hi: limits; a reversed interval negates the result.
-        tol: accuracy contract; no panel is split once the evaluation
-            count reaches ``max_iter``, which the count can pass by up to 29.
-        singular_endpoints: which endpoints carry an integrable power
-            singularity.  Declared endpoints are never sampled.
+        lo, hi: finite limits with a finite width; a reversed interval
+            negates the result.
 
     Returns:
         QuadratureResult; ``converged`` is unset when the evaluation budget
         ran out, in which case the best estimate is still returned.
 
     Raises:
-        DomainError: on an invalid singularity declaration or tolerance.
-        IntegrandError: if the integrand returns NaN.
+        DomainError: if a limit or the width hi - lo is not finite.
+        IntegrandError: if the integrand returns NaN or an infinity, or its
+            values overflow the integral.
     """
-    if singular_endpoints not in ("none", "lo", "hi", "both"):
-        raise DomainError(
-            f"singular_endpoints must be one of none|lo|hi|both, got {singular_endpoints!r}"
-        )
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"limits must be finite with a finite width, got lo={lo!r}, hi={hi!r}")
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0, True)
     if lo > hi:
-        flipped = {"lo": "hi", "hi": "lo"}.get(singular_endpoints, singular_endpoints)
-        r = integrate(f, hi, lo, tol, flipped)  # type: ignore[arg-type]
+        r = integrate(f, hi, lo)
         return QuadratureResult(-r.value, r.error_estimate, r.evaluations, r.converged)
 
-    abs_tol, rel_tol, max_iter = tol.abs_tol, tol.rel_tol, tol.max_iter
+    abs_tol, rel_tol, max_evaluations = _ABS_TOL, _REL_TOL, _MAX_EVALUATIONS
     heappush, heappop, ulp = heapq.heappush, heapq.heappop, math.ulp
-    heap: list[tuple[float, float, float, int, float, float, Callable[[float], float]]] = []
-    evaluations = 0
-    tie = 0
+    total_value, total_err = _gauss_kronrod(f, lo, hi)
+    heap: list[tuple[float, float, float, int, float, float]] = [
+        (-total_err, lo, hi, 0, total_value, total_err)
+    ]
+    evaluations = 15
+    tie = 1
     frozen_value = 0.0
     frozen_err = 0.0
-    total_value = 0.0
-    total_err = 0.0
-
-    for g, a, b in _regularized_segments(f, lo, hi, singular_endpoints):
-        v, e = _gauss_kronrod(g, a, b)
-        evaluations += 15
-        heappush(heap, (-e, a, b, tie, v, e, g))
-        tie += 1
-        total_value += v
-        total_err += e
 
     while heap:
-        # Tolerance.target, inline
         if total_err + frozen_err <= max(abs_tol, rel_tol * abs(total_value + frozen_value)):
             break
-        if evaluations >= max_iter:
+        if evaluations >= max_evaluations:
             break
-        _, a, b, _, v, e, g = heappop(heap)
+        _, a, b, _, v, e = heappop(heap)
         if b - a <= 16.0 * ulp(max(abs(a), abs(b), 1.0)):
             # cannot be split further at this precision
             frozen_value += v
@@ -260,15 +189,17 @@ def integrate(
             total_err -= e
             continue
         mid = 0.5 * (a + b)
-        v1, e1 = _gauss_kronrod(g, a, mid)
-        v2, e2 = _gauss_kronrod(g, mid, b)
+        v1, e1 = _gauss_kronrod(f, a, mid)
+        v2, e2 = _gauss_kronrod(f, mid, b)
         evaluations += 30
         total_value += v1 + v2 - v
         total_err += e1 + e2 - e
-        heappush(heap, (-e1, a, mid, tie, v1, e1, g))
-        heappush(heap, (-e2, mid, b, tie + 1, v2, e2, g))
+        heappush(heap, (-e1, a, mid, tie, v1, e1))
+        heappush(heap, (-e2, mid, b, tie + 1, v2, e2))
         tie += 2
 
     value = total_value + frozen_value
     err = total_err + frozen_err
-    return QuadratureResult(value, err, evaluations, err <= tol.target(value))
+    if not math.isfinite(value):
+        raise IntegrandError(f"the integral over [{lo!r}, {hi!r}] overflows")
+    return QuadratureResult(value, err, evaluations, err <= max(abs_tol, rel_tol * abs(value)))

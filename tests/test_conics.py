@@ -47,7 +47,8 @@ def pedal_form_arc(H, p_lo):
     def f(p):
         return a * a * b * b / (p * p * math.sqrt((a - p) * (a + p) * (b * b + p * p)))
 
-    return integrate(f, p_lo, a, singular_endpoints="hi").value
+    # p = a - v^2 smooths the inverse-square-root end at p = a
+    return integrate(lambda v: 2.0 * v * f(a - v * v), 0.0, math.sqrt(a - p_lo)).value
 
 
 def cesso_r_oracle(a, b):
@@ -290,9 +291,11 @@ class TestEllipseArc:
         def ds(x):
             return math.sqrt((4.0 - g * x * x) / ((2.0 - x) * (2.0 + x)))
 
-        for x0, x1, sing in ((0.0, 1.3, "none"), (0.4, 2.0, "hi")):
-            oracle = integrate(ds, x0, x1, singular_endpoints=sing).value
-            assert ellipse_arc(E, x0, x1) == pytest.approx(oracle, abs=1e-10)
+        oracle = integrate(ds, 0.0, 1.3).value
+        assert ellipse_arc(E, 0.0, 1.3) == pytest.approx(oracle, abs=1e-10)
+        # x = 2 - v^2 smooths the vertex end
+        oracle = integrate(lambda v: 2.0 * v * ds(2.0 - v * v), 0.0, math.sqrt(1.6)).value
+        assert ellipse_arc(E, 0.4, 2.0) == pytest.approx(oracle, abs=1e-10)
 
     def test_quadrant_helper(self):
         E = Ellipse(3.0, SQRT8)
@@ -453,6 +456,38 @@ class TestFagnano:
             fagnano_check(LandenPair(2.0, 1.0), 0.0)
 
 
+# simpson_arc from u0 to a u1 just short of the vertex, on Hyperbola(1, b):
+# (u1, b, u0, arc).  The arcs are the integral of sqrt(sinh^2 + b^2 cosh^2)
+# over the hyperbolic parameter between acosh(1/u1) and acosh(1/u0), taken
+# with mpmath at 50 digits and written to 40.
+NEAR_VERTEX_REFERENCE = [
+    (1.0 - 1e-13, 0.01, 0.0001, 9999.500262055177071319821126370903168948),
+    (1.0 - 1e-13, 0.01, 0.5, 1.000347093191748903359787203375460520033),
+    (1.0 - 1e-13, 1.0, 0.0001, 14141.53651781095973219687537282372010831),
+    (1.0 - 1e-13, 1.0, 0.5, 2.037621912574559935131901668473647245303),
+    (1.0 - 1e-13, 2.0, 0.0001, 22360.31892599667241211084614197069524121),
+    (1.0 - 1e-13, 2.0, 0.5, 3.629818325340916363173439421683767557715),
+    (1.0 - 1e-13, 100.0, 0.0001, 1000049.985851896976896678453053742647872),
+    (1.0 - 1e-13, 100.0, 0.5, 173.2084602476389603281255588702019555943),
+    (1.0 - 1e-12, 0.01, 0.0001, 9999.500262045507923271014980194010879524),
+    (1.0 - 1e-12, 0.01, 0.5, 1.000347083522600854553641026483171095718),
+    (1.0 - 1e-12, 1.0, 0.0001, 14141.53651684404493188055233759571184969),
+    (1.0 - 1e-12, 1.0, 0.5, 2.037620945659759618808866440465388629163),
+    (1.0 - 1e-12, 2.0, 0.0001, 22360.31892406284281147888478372236370723),
+    (1.0 - 1e-12, 2.0, 0.5, 3.629816391511315731212081173352233580958),
+    (1.0 - 1e-12, 100.0, 0.0001, 1000049.985755205496865091792446706106516),
+    (1.0 - 1e-12, 100.0, 0.5, 173.2083635561589287414649518336606001809),
+    (1.0 - 1e-10, 0.01, 0.0001, 9999.50026191822849327785970457263358639),
+    (1.0 - 1e-10, 0.01, 0.5, 1.000346956243170861398365405105877961727),
+    (1.0 - 1e-10, 1.0, 0.0001, 14141.5365041161066414245823347342190981),
+    (1.0 - 1e-10, 1.0, 0.5, 2.0376082177214691628388635789726370382),
+    (1.0 - 1e-10, 2.0, 0.0001, 22360.31889860696623127334456367538405331),
+    (1.0 - 1e-10, 2.0, 0.5, 3.629790935634735525671861126372579659119),
+    (1.0 - 1e-10, 100.0, 0.0001, 1000049.984482411667866583401874072754436),
+    (1.0 - 1e-10, 100.0, 0.5, 173.2070907623299302330743792003085203275),
+]
+
+
 class TestSimpsonArc:
     def test_empty(self):
         assert simpson_arc(Hyperbola(1.0, 1.0), 0.5, 0.5) == 0.0
@@ -485,6 +520,10 @@ class TestSimpsonArc:
         with pytest.raises(DomainError):
             simpson_arc(Hyperbola(1.0, 1.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("u1,b,u0,arc", NEAR_VERTEX_REFERENCE)
+    def test_near_vertex_against_references(self, u1, b, u0, arc):
+        assert abs(simpson_arc(Hyperbola(1.0, b), u0, u1) - arc) <= 1e-14 * arc
+
 
 class TestMaclaurinIntegrand:
     def test_closed_form_value(self):
@@ -510,11 +549,11 @@ class TestMaclaurinIntegrand:
     def test_integral_recovers_limit_excess(self):
         for a, b in ((1.0, 1.0), (1.0, SQRT8)):
             H = Hyperbola(a, b)
+            # p = a - v^2 smooths the inverse-square-root end at p = a
             total = integrate(
-                lambda p: -maclaurin_excess_integrand(H, p),
+                lambda v: -2.0 * v * maclaurin_excess_integrand(H, a - v * v),
                 0.0,
-                a,
-                singular_endpoints="hi",
+                math.sqrt(a),
             ).value
             assert total == pytest.approx(excess_infinity_closed(H), abs=1e-10)
 

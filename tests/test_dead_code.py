@@ -1,4 +1,5 @@
-"""No module-level private helper outlives its last caller."""
+"""No module-level private helper outlives its last caller, and no
+function accepts a parameter that it never reads."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,35 @@ def test_every_private_helper_is_referenced():
         for name in _definitions(tree) - used
     )
     assert unused == []
+
+
+def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> list[str]:
+    args = node.args
+    named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [arg.arg for arg in named if arg is not None]
+
+
+def _reads(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
+    # a read anywhere in the body counts, nested closures included
+    body = [node.body] if isinstance(node, ast.Lambda) else node.body
+    return {
+        sub.id
+        for stmt in body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_no_parameter_is_accepted_and_then_ignored():
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                reads = _reads(node)
+                name = getattr(node, "name", "<lambda>")
+                unread.extend(
+                    f"{path.name}:{node.lineno} {name}({param})"
+                    for param in _parameters(node)
+                    if param not in reads
+                )
+    assert unread == []

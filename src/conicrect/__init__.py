@@ -4,118 +4,23 @@ AGM-based elliptic integrals, the quadratic modulus/amplitude
 transformation, hyperbolic excess in series and closed form, the
 two-ellipse rectification theorem with its Fagnano arc pairs, and an
 independent adaptive-quadrature oracle that cross-checks all of it.
+
+The package exports the union of its modules' ``__all__``.  The star import
+binds the function ``agm`` over the submodule of that name.
 """
 
-from .agm import (
-    AgmSequence,
-    LemniscateArcs,
-    agm,
-    complete_E,
-    complete_K,
-    incomplete_E,
-    incomplete_F,
-    lemniscate,
-    series_KE,
-    series_truncation_bound,
-)
-from .conics import (
-    Ellipse,
-    ExcessBreakdown,
-    Hyperbola,
-    LandenPair,
-    PedalPoint,
-    abscissae_from_tangent,
-    ellipse_arc,
-    ellipse_quadrant,
-    ellipse_tangent_length,
-    excess_finite,
-    excess_infinity_closed,
-    excess_infinity_landen,
-    excess_infinity_series,
-    excess_series_remainder_bound,
-    fagnano_check,
-    hyperbola_arc,
-    hyperbola_pedal_point,
-    hyperbola_point_from_pedal,
-    hyperbola_radius_from_pedal,
-    landen_theorem_check,
-    maclaurin_excess_integrand,
-    pair_to_semiaxes,
-    semiaxes_to_pair,
-    simpson_arc,
-)
-from .construction import construction_points, render_svg, validate_points
-from .errors import ConicRectError, ConvergenceError, DomainError, IntegrandError
-from .landen import (
-    LagrangeParams,
-    ResidualReport,
-    amplitude_inverse,
-    amplitude_map,
-    check_agm_invariance,
-    check_borwein,
-    check_gleichung,
-    lagrange_substitution,
-    modulus_ascend,
-    modulus_descend,
-    upper_limit,
-)
-from .quadrature import QuadratureResult, integrate
+from . import agm as _agm_module, conics, construction, errors, landen, quadrature
+from .agm import *
+from .conics import *
+from .construction import *
+from .errors import *
+from .landen import *
+from .quadrature import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgmSequence",
-    "ConicRectError",
-    "ConvergenceError",
-    "DomainError",
-    "Ellipse",
-    "ExcessBreakdown",
-    "Hyperbola",
-    "IntegrandError",
-    "LagrangeParams",
-    "LandenPair",
-    "LemniscateArcs",
-    "PedalPoint",
-    "QuadratureResult",
-    "ResidualReport",
-    "abscissae_from_tangent",
-    "agm",
-    "amplitude_inverse",
-    "amplitude_map",
-    "check_agm_invariance",
-    "check_borwein",
-    "check_gleichung",
-    "complete_E",
-    "complete_K",
-    "construction_points",
-    "ellipse_arc",
-    "ellipse_quadrant",
-    "ellipse_tangent_length",
-    "excess_finite",
-    "excess_infinity_closed",
-    "excess_infinity_landen",
-    "excess_infinity_series",
-    "excess_series_remainder_bound",
-    "fagnano_check",
-    "hyperbola_arc",
-    "hyperbola_pedal_point",
-    "hyperbola_point_from_pedal",
-    "hyperbola_radius_from_pedal",
-    "incomplete_E",
-    "incomplete_F",
-    "integrate",
-    "lagrange_substitution",
-    "landen_theorem_check",
-    "lemniscate",
-    "maclaurin_excess_integrand",
-    "modulus_ascend",
-    "modulus_descend",
-    "pair_to_semiaxes",
-    "render_svg",
-    "semiaxes_to_pair",
-    "series_KE",
-    "series_truncation_bound",
-    "simpson_arc",
-    "upper_limit",
-    "validate_points",
-]
+__all__ = sorted(
+    name
+    for module in (_agm_module, conics, construction, errors, landen, quadrature)
+    for name in module.__all__
+)

@@ -22,6 +22,7 @@ __all__ = [
     "AgmSequence",
     "LemniscateArcs",
     "agm",
+    "complement",
     "complete_K",
     "complete_E",
     "incomplete_F",
@@ -60,14 +61,14 @@ class LemniscateArcs:
     gauss_constant: float
 
 
-def _check_modulus(k: float, *, allow_one: bool = False, name: str = "k") -> None:
+def _check_modulus(k: float, *, allow_one: bool = False) -> None:
     if not 0.0 <= k:
-        raise DomainError(f"modulus {name} must satisfy {name} >= 0, got {k!r}")
+        raise DomainError(f"modulus k must satisfy k >= 0, got {k!r}")
     if allow_one:
         if k > 1.0:
-            raise DomainError(f"modulus {name} must satisfy {name} <= 1, got {k!r}")
+            raise DomainError(f"modulus k must satisfy k <= 1, got {k!r}")
     elif k >= 1.0:
-        raise DomainError(f"modulus {name} must satisfy {name} < 1, got {k!r}")
+        raise DomainError(f"modulus k must satisfy k < 1, got {k!r}")
 
 
 def _check_amplitude(phi: float) -> None:
@@ -223,8 +224,8 @@ def _series_terms(kind: str, k: float, terms: int) -> list[float]:
     the series truncated at ``terms`` and its first omitted term."""
     if kind not in ("K", "E"):
         raise DomainError(f"kind must be 'K' or 'E', got {kind!r}")
-    if terms < 1:
-        raise DomainError(f"terms must be at least 1, got {terms!r}")
+    if not (isinstance(terms, int) and terms >= 1):
+        raise DomainError(f"terms must be an integer of at least 1, got {terms!r}")
     _check_modulus(k)
     m = k * k
     coeff = 1.0

@@ -31,6 +31,7 @@ __all__ = [
     "hyperbola_radius_from_pedal",
     "hyperbola_point_from_pedal",
     "hyperbola_pedal_point",
+    "hyperbola_tangent_length",
     "hyperbola_arc",
     "ellipse_tangent_length",
     "abscissae_from_tangent",
@@ -47,9 +48,10 @@ __all__ = [
     "maclaurin_excess_integrand",
 ]
 
+
 @dataclass(frozen=True)
-class Hyperbola:
-    """Hyperbola x^2/a^2 - y^2/b^2 = 1 with a the transverse semiaxis."""
+class _Conic:
+    """Semiaxes a, b of a central conic, both positive and finite."""
 
     a: float
     b: float
@@ -57,8 +59,14 @@ class Hyperbola:
     def __post_init__(self) -> None:
         if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
             raise DomainError(
-                f"hyperbola semiaxes must be positive and finite, got a={self.a!r}, b={self.b!r}"
+                f"{type(self).__name__.lower()} semiaxes must be positive and finite, "
+                f"got a={self.a!r}, b={self.b!r}"
             )
+
+
+@dataclass(frozen=True)
+class Hyperbola(_Conic):
+    """Hyperbola x^2/a^2 - y^2/b^2 = 1 with a the transverse semiaxis."""
 
     @property
     def focal_distance(self) -> float:
@@ -81,17 +89,8 @@ class Hyperbola:
 
 
 @dataclass(frozen=True)
-class Ellipse:
+class Ellipse(_Conic):
     """Ellipse x^2/a^2 + y^2/b^2 = 1."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-            raise DomainError(
-                f"ellipse semiaxes must be positive and finite, got a={self.a!r}, b={self.b!r}"
-            )
 
     @property
     def g(self) -> float:
@@ -157,9 +156,7 @@ class ExcessBreakdown:
 
 def semiaxes_to_pair(a: float, b: float) -> LandenPair:
     """Invert a = m - n, b = 2 sqrt(mn):  m = (sqrt(a^2+b^2) + a)/2, n = b^2/(4m)."""
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DomainError(f"semiaxes must be positive and finite, got a={a!r}, b={b!r}")
-    m = 0.5 * (math.hypot(a, b) + a)
+    m = 0.5 * (Hyperbola(a, b).focal_distance + a)
     # n = (sqrt(a^2+b^2) - a)/2 in the cancellation-free form b^2/(4m)
     n = b * b / (4.0 * m)
     return LandenPair(m, n)
@@ -232,8 +229,6 @@ def hyperbola_arc(H: Hyperbola, p_lo: float) -> float:
     sqrt(b^2 + (a^2+b^2) sinh^2(u)) du, the speed of (a cosh u, b sinh u),
     a sum of positive terms that grows like e^u and is smooth on [0, u].
     """
-    if p_lo == H.a:
-        return 0.0
     b, c = H.b, H.focal_distance
 
     def speed(u: float) -> float:
@@ -287,14 +282,10 @@ def ellipse_arc(E: Ellipse, x0: float, x1: float) -> float:
     Closed form a * (E(arcsin(x1/a), e) - E(arcsin(x0/a), e)) with e the
     eccentricity; requires a >= b.
     """
-    if E.a < E.b:
-        raise DomainError("ellipse_arc expects the major semiaxis first")
     if not 0.0 <= x0 <= x1 <= E.a * (1.0 + 1e-12):
         raise DomainError(
             f"need 0 <= x0 <= x1 <= a = {E.a!r}, got x0={x0!r}, x1={x1!r}"
         )
-    if x0 == x1:
-        return 0.0
     ecc = E.eccentricity
     phi0 = math.asin(min(x0 / E.a, 1.0))
     phi1 = math.asin(min(x1 / E.a, 1.0))
@@ -338,7 +329,7 @@ def excess_infinity_closed(H: Hyperbola) -> float:
     as a/b -> 0, where the difference itself would lose every digit.
     """
     c = H.focal_distance
-    k, kp = H.a / c, H.b / c
+    k, kp = H.modulus, H.b / c
     if kp == 0.0:
         raise DomainError(f"b/a underflows, got a={H.a!r}, b={H.b!r}")
     K, tail, _ = _legendre(kp)
@@ -348,30 +339,34 @@ def excess_infinity_closed(H: Hyperbola) -> float:
 _SERIES_COEFFS = (0.5, -3.0 / 16.0, 15.0 / 128.0, -175.0 / 2048.0)
 
 
+def _excess_series(H: Hyperbola, terms: int) -> tuple[float, float]:
+    """Prefactor pi a^2 / 2b and ratio (a/b)^2 of the flat-hyperbola series,
+    whose first ``terms`` terms, 1 to 3, are available."""
+    if not (isinstance(terms, int) and 1 <= terms <= 3):
+        raise DomainError(f"terms must be 1, 2, or 3, got {terms!r}")
+    return 0.5 * math.pi * H.a * H.a / H.b, (H.a / H.b) ** 2
+
+
 def excess_infinity_series(H: Hyperbola, terms: int) -> float:
     """Flat-hyperbola expansion of the limit excess.
 
     (pi a^2 / 2b) (1/2 - 3(a/b)^2/16 + 15(a/b)^4/128 - ...), asymptotic in
     a/b; at most three terms are available.
     """
-    if terms not in (1, 2, 3):
-        raise DomainError(f"terms must be 1, 2, or 3, got {terms!r}")
-    ratio = (H.a / H.b) ** 2
+    prefactor, ratio = _excess_series(H, terms)
     total = 0.0
     power = 1.0
     for j in range(terms):
         total += _SERIES_COEFFS[j] * power
         power *= ratio
-    return 0.5 * math.pi * H.a * H.a / H.b * total
+    return prefactor * total
 
 
 def excess_series_remainder_bound(H: Hyperbola, terms: int) -> float:
     """Magnitude of the first omitted series term; bounds the truncation
     error while the terms still decrease (a alternating series)."""
-    if terms not in (1, 2, 3):
-        raise DomainError(f"terms must be 1, 2, or 3, got {terms!r}")
-    ratio = (H.a / H.b) ** 2
-    return 0.5 * math.pi * H.a * H.a / H.b * abs(_SERIES_COEFFS[terms]) * ratio**terms
+    prefactor, ratio = _excess_series(H, terms)
+    return prefactor * abs(_SERIES_COEFFS[terms]) * ratio**terms
 
 
 def excess_infinity_landen(pair: LandenPair) -> float:
@@ -383,10 +378,15 @@ def excess_infinity_landen(pair: LandenPair) -> float:
     order of m while their difference is of the order of m (a/b)^2, so it
     cancels like (a/b)^2 and loses all digits as a/b -> 1e-8.
     """
+    return _quadrants(pair)[2]
+
+
+def _quadrants(pair: LandenPair) -> tuple[float, float, float]:
+    """The outer and inner quadrants S1, S2 and the limit excess 2 S2 - S1."""
     m, n = pair.m, pair.n
     s2 = m * complete_E(math.sqrt((m - n) * (m + n)) / m)
     s1 = (m + n) * complete_E((m - n) / (m + n))
-    return 2.0 * s2 - s1
+    return s1, s2, 2.0 * s2 - s1
 
 
 def _eta1_integrand(pair: LandenPair):
@@ -398,12 +398,24 @@ def _eta1_integrand(pair: LandenPair):
     return f
 
 
+def _check_tangent(pair: LandenPair, t: float) -> None:
+    if not 0.0 < t < pair.m - pair.n:
+        raise DomainError(f"t must lie in (0, m-n) = (0, {pair.m - pair.n!r}), got {t!r}")
+
+
+def _tangent_pedal(pair: LandenPair, t: float) -> float:
+    """Pedal distance p = sqrt((m-n)^2 - t^2) of the hyperbola point whose
+    tangent length is t, for t strictly inside (0, m - n)."""
+    _check_tangent(pair, t)
+    m, n = pair.m, pair.n
+    return math.sqrt((m - n - t) * (m - n + t))
+
+
 def _tangent_angles(pair: LandenPair, t: float) -> tuple[float, float]:
     """Angles asin(x/m) of the two inner-ellipse abscissae x- <= x+ whose
     tangent length is t, for t strictly inside (0, m - n)."""
-    m, n = pair.m, pair.n
-    if not 0.0 < t < m - n:
-        raise DomainError(f"t must lie in (0, m-n) = (0, {m - n!r}), got {t!r}")
+    _check_tangent(pair, t)
+    m = pair.m
     x_minus, x_plus = abscissae_from_tangent(pair, t)
     return math.asin(min(x_minus / m, 1.0)), math.asin(min(x_plus / m, 1.0))
 
@@ -416,16 +428,14 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     to the smaller abscissa sharing tangent length t, in the angle form that
     fagnano_check also integrates.
     """
-    m, n = pair.m, pair.n
     theta_minus, _ = _tangent_angles(pair, t)
     H = pair.hyperbola
-    p = math.sqrt((m - n - t) * (m - n + t))
+    p = _tangent_pedal(pair, t)
     t_hyp = hyperbola_tangent_length(H, p)
     hyp_arc = hyperbola_arc(H, p)
     eta1 = integrate(_eta1_integrand(pair), 0.0, t).value
     eta2 = integrate(_ellipse_arc_theta_integrand(pair.ellipse_inner), 0.0, theta_minus).value
-    s1 = ellipse_quadrant(pair.ellipse_outer)
-    s2 = ellipse_quadrant(pair.ellipse_inner)
+    s1, s2, limit_L = _quadrants(pair)
     breakdown = ExcessBreakdown(
         hyp_arc=hyp_arc,
         t_hyp=t_hyp,
@@ -434,11 +444,11 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
         eta2=eta2,
         s1=s1,
         s2=s2,
-        limit_L=2.0 * s2 - s1,
+        limit_L=limit_L,
     )
     report = ResidualReport(
         "landen-theorem",
-        {"m": m, "n": n, "t": t},
+        {"m": pair.m, "n": pair.n, "t": t},
         hyp_arc,
         t_hyp + 2.0 * t + eta1 - 4.0 * eta2,
     )
@@ -488,8 +498,6 @@ def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
     """
     if not 0.0 < u0 <= u1 <= 1.0:
         raise DomainError(f"need 0 < u0 <= u1 <= 1, got u0={u0!r}, u1={u1!r}")
-    if u0 == u1:
-        return 0.0
     a2, b2 = H.a * H.a, H.b * H.b
 
     def f(w: float) -> float:

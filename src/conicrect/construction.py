@@ -12,10 +12,11 @@ output is byte-stable for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .conics import (
     LandenPair,
+    _tangent_pedal,
     abscissae_from_tangent,
     ellipse_tangent_length,
     hyperbola_point_from_pedal,
@@ -41,31 +42,18 @@ class ConstructionPoints:
     K: tuple[float, float]
     F: tuple[float, float]
     pedal_radius: float
-    tangent_length: float
 
     def as_dict(self) -> dict[str, tuple[float, float]]:
-        return {
-            "S": self.S,
-            "A": self.A,
-            "N": self.N,
-            "Z": self.Z,
-            "E": self.E,
-            "P": self.P,
-            "H": self.H,
-            "K": self.K,
-            "F": self.F,
-        }
+        """The points by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pedal_radius"}
 
 
 def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:
     """Solve every point of the figure from (m, n, t) alone."""
+    p = _tangent_pedal(pair, t)
     m, n = pair.m, pair.n
-    if not 0.0 < t < m - n:
-        raise DomainError(f"t must lie in (0, m-n) = (0, {m - n!r}), got {t!r}")
     hyp = pair.hyperbola
-    a = hyp.a
-    b = hyp.b
-    p = math.sqrt((m - n - t) * (m - n + t))
+    a, b = hyp.a, hyp.b
     # inner-ellipse point sharing the tangent length, and the foot of the
     # center perpendicular onto its tangent line
     x_e, _ = abscissae_from_tangent(pair, t)
@@ -87,7 +75,6 @@ def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:
         K=k_pt,
         F=f_pt,
         pedal_radius=p,
-        tangent_length=t,
     )
 
 
@@ -162,8 +149,8 @@ def render_svg(pair: LandenPair, t: float) -> str:
     m, n = pair.m, pair.n
     hyp = pair.hyperbola
     a, b = hyp.a, hyp.b
-    a1 = m + n
-    b1 = 2.0 * math.sqrt(m * n)
+    outer = pair.ellipse_outer
+    a1, b1 = outer.a, outer.b
     half_w = 1.2 * a1
     half_h = 1.2 * b1
     stroke = 0.008 * a1

@@ -14,7 +14,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .agm import _amplitude_step, _legendre, complement, complete_E, complete_K, incomplete_F
+from .agm import (
+    _amplitude_step, _check_amplitude, _check_modulus, _legendre, complement, complete_E,
+    complete_K, incomplete_F,
+)
 from .errors import DomainError
 from .quadrature import integrate
 
@@ -85,15 +88,13 @@ class ResidualReport:
 
 def modulus_ascend(k: float) -> float:
     """Ascending map k -> 2 sqrt(k)/(1+k); fixed points at 0 and 1."""
-    if not 0.0 <= k <= 1.0:
-        raise DomainError(f"modulus must lie in [0, 1], got {k!r}")
+    _check_modulus(k, allow_one=True)
     return 2.0 * math.sqrt(k) / (1.0 + k)
 
 
 def modulus_descend(k_hat: float) -> float:
     """Inverse of the ascending map: k = (1-k')/(1+k') with k' = sqrt(1-k_hat^2)."""
-    if not 0.0 <= k_hat <= 1.0:
-        raise DomainError(f"modulus must lie in [0, 1], got {k_hat!r}")
+    _check_modulus(k_hat, allow_one=True)
     r = k_hat / (1.0 + complement(k_hat))  # (1-k')/(1+k') = (k_hat/(1+k'))^2
     return r * r
 
@@ -107,10 +108,8 @@ def amplitude_map(phi_hat: float, k: float) -> float:
     in [0, pi/2] the result lies in [0, pi]; it passes pi/2 exactly at
     phi_hat = pi/4 + arcsin(k)/2 and reaches pi in the complete case.
     """
-    if not 0.0 <= phi_hat <= 0.5 * math.pi:
-        raise DomainError(f"phi_hat must lie in [0, pi/2], got {phi_hat!r}")
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"modulus must lie in [0, 1), got {k!r}")
+    _check_amplitude(phi_hat)
+    _check_modulus(k)
     return _amplitude_step(phi_hat, 1.0 + k, 1.0 - k)
 
 
@@ -123,10 +122,8 @@ def amplitude_inverse(phi: float, k: float) -> float:
     1 - y = (1 - k) + 2 k sin^2((pi/2 - phi)/2), which does not cancel as
     y -> 1; the complete case phi = pi/2 gives pi/4 + arcsin(k)/2.
     """
-    if not 0.0 <= phi <= 0.5 * math.pi:
-        raise DomainError(f"phi must lie in [0, pi/2], got {phi!r}")
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"modulus must lie in [0, 1), got {k!r}")
+    _check_amplitude(phi)
+    _check_modulus(k)
     y = k * math.sin(phi)
     half_gap = math.sin(0.5 * (0.5 * math.pi - phi))
     one_minus_y = (1.0 - k) + 2.0 * k * half_gap * half_gap
@@ -181,8 +178,7 @@ def check_gleichung(phi: float, k: float) -> ResidualReport:
 
 def check_borwein(k: float) -> ResidualReport:
     """Residual of E(k) = (1+k)/2 E(2 sqrt(k)/(1+k)) + (1-k^2)/2 K(k)."""
-    if not 0.0 <= k < 1.0:
-        raise DomainError(f"modulus must lie in [0, 1), got {k!r}")
+    _check_modulus(k)
     lhs = complete_E(k)
     k_hat = modulus_ascend(k)
     rhs = 0.5 * (1.0 + k) * complete_E(k_hat) + 0.5 * (1.0 - k * k) * complete_K(k)

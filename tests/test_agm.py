@@ -287,7 +287,11 @@ class TestSeries:
     def test_domain(self):
         # the bound takes the same (kind, k, terms) as the series it bounds
         for fn in (series_KE, series_truncation_bound):
-            for kind, k, terms in (("K", 1.0, 10), ("X", 0.5, 10), ("K", 0.5, 0), ("E", 0.5, 0), ("K", 0.5, -3)):
+            for kind, k, terms in (
+                ("K", 1.0, 10), ("X", 0.5, 10), ("K", 0.5, 0), ("E", 0.5, 0), ("K", 0.5, -3),
+                # a terms that is not an int
+                ("K", 0.5, 2.5), ("E", 0.5, 2.0), ("K", 0.5, None),
+            ):
                 with pytest.raises(DomainError):
                     fn(kind, k, terms)
 

@@ -378,8 +378,16 @@ class TestExcess:
         assert abs(excess_infinity_series(H, 3) - excess_infinity_closed(H)) > 1e-4
 
     def test_series_domain(self):
-        with pytest.raises(DomainError):
-            excess_infinity_series(Hyperbola(0.1, 1.0), 4)
+        H = Hyperbola(0.1, 1.0)
+        for fn, terms in (
+            (excess_infinity_series, 4),
+            (excess_infinity_series, 0),
+            (excess_infinity_series, 1.0),
+            (excess_series_remainder_bound, 2.0),
+            (excess_series_remainder_bound, 4),
+        ):
+            with pytest.raises(DomainError):
+                fn(H, terms)
 
     def test_landen_form_values(self):
         val = excess_infinity_landen(LandenPair(2.0, 1.0))
@@ -408,9 +416,8 @@ class TestLandenTheorem:
         breakdown, rep = landen_theorem_check(LandenPair(2.0, 1.0), 0.5)
         assert rep.residual < 1e-9
         assert breakdown.hyp_arc > 0.0 and breakdown.eta1 > 0.0 and breakdown.eta2 > 0.0
-        assert breakdown.limit_L == pytest.approx(
-            excess_infinity_landen(LandenPair(2.0, 1.0)), rel=1e-14
-        )
+        # the breakdown's quadrants are the limit excess's own
+        assert breakdown.limit_L == excess_infinity_landen(LandenPair(2.0, 1.0))
         # rearranged quadrant inequality from the breakdown invariants
         assert breakdown.s1 <= 2.0 * breakdown.s2 + breakdown.limit_L + 1e-10
 

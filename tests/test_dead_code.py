@@ -1,7 +1,9 @@
-"""No module-level private helper outlives its last caller, and no
-function accepts a parameter that it never reads."""
+"""No module-level private helper outlives its last caller, no function
+accepts a parameter that it never reads, no private default goes unused, and
+every public definition is exported."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import conicrect
@@ -75,3 +77,58 @@ def test_no_parameter_is_accepted_and_then_ignored():
                     if param not in reads
                 )
     assert unread == []
+
+
+def test_every_public_definition_is_exported():
+    # cli.py is the command line, not the library; __init__.py defines
+    # nothing and exports the union of the modules' lists
+    missing = []
+    for path in SOURCES:
+        if path.name in ("cli.py", "__init__.py"):
+            continue
+        exported = set(importlib.import_module(f"conicrect.{path.stem}").__all__)
+        missing.extend(
+            f"{path.name}:{node.name}"
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and not (node.name in exported and node.name in conicrect.__all__)
+        )
+    assert missing == []
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_default_of_a_private_function_is_overridden_somewhere():
+    # a default that no call in the package overrides is a constant in
+    # disguise; a call passes the parameter by keyword or by position
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    passed = set()
+    for tree in trees:
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = _callee(call)
+            passed.update((name, i) for i, arg in enumerate(call.args) if not isinstance(arg, ast.Starred))
+            passed.update((name, kw.arg) for kw in call.keywords)
+            if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+                passed.add((name, "*"))
+    unpassed = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _private(node.name)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = [
+                (arg.arg, index)
+                for index, arg in enumerate(positional)
+                if index >= len(positional) - len(args.defaults)
+            ] + [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            unpassed.extend(
+                f"{node.name}({param})"
+                for param, index in defaulted
+                if not {(node.name, param), (node.name, index), (node.name, "*")} & passed
+            )
+    assert unpassed == []

@@ -49,24 +49,23 @@ __all__ = [
 ]
 
 
+def _check_semiaxes(conic: Hyperbola | Ellipse) -> None:
+    if not (0.0 < conic.a < math.inf and 0.0 < conic.b < math.inf):
+        raise DomainError(
+            f"{type(conic).__name__.lower()} semiaxes must be positive and finite, "
+            f"got a={conic.a!r}, b={conic.b!r}"
+        )
+
+
 @dataclass(frozen=True)
-class _Conic:
-    """Semiaxes a, b of a central conic, both positive and finite."""
+class Hyperbola:
+    """Hyperbola x^2/a^2 - y^2/b^2 = 1 with a the transverse semiaxis."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
-            raise DomainError(
-                f"{type(self).__name__.lower()} semiaxes must be positive and finite, "
-                f"got a={self.a!r}, b={self.b!r}"
-            )
-
-
-@dataclass(frozen=True)
-class Hyperbola(_Conic):
-    """Hyperbola x^2/a^2 - y^2/b^2 = 1 with a the transverse semiaxis."""
+        _check_semiaxes(self)
 
     @property
     def focal_distance(self) -> float:
@@ -89,8 +88,14 @@ class Hyperbola(_Conic):
 
 
 @dataclass(frozen=True)
-class Ellipse(_Conic):
+class Ellipse:
     """Ellipse x^2/a^2 + y^2/b^2 = 1."""
+
+    a: float
+    b: float
+
+    def __post_init__(self) -> None:
+        _check_semiaxes(self)
 
     @property
     def g(self) -> float:

@@ -74,12 +74,13 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
 
     The nodes are unrolled and every sum adds its terms in the same order
     as the textbook loop, centre first, so each one rounds the same way.
-    A NaN or infinite value makes ``resk`` non-finite, so one test per
-    panel finds it; the nodes are then scanned in evaluation order to name
-    the first.  Finite values whose weighted sum overflows are summed again
-    scaled by 2**-4, exactly for all but subnormal values, which leaves
-    every sum finite; the value and error are scaled back, and ``f`` is not
-    called again.
+    A NaN or infinite value makes ``resk``, and with it the sum of
+    |f - resk/2| behind the error estimate, non-finite, so one test per
+    panel on that sum finds it; the nodes are then scanned in evaluation
+    order to name the first.  Finite values for which either sum overflows
+    are summed again scaled by 2**-4, exactly for all but subnormal values,
+    which leaves every sum finite; the value and error are scaled back, and
+    ``f`` is not called again.
     """
     x0, x1, x2, x3, x4, x5, x6, _ = _XGK
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
@@ -106,7 +107,17 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
     s0, s1, s2, s3 = m0 + p0, m1 + p1, m2 + p2, m3 + p3
     s4, s5, s6 = m4 + p4, m5 + p5, m6 + p6
     resk = w7 * fc + w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4 + w5 * s5 + w6 * s6
-    if not math.isfinite(resk):
+    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    # QUADPACK-style scaled error estimate.
+    mean = resk * 0.5
+    resasc = (
+        w7 * abs(fc - mean)
+        + w0 * (abs(m0 - mean) + abs(p0 - mean)) + w1 * (abs(m1 - mean) + abs(p1 - mean))
+        + w2 * (abs(m2 - mean) + abs(p2 - mean)) + w3 * (abs(m3 - mean) + abs(p3 - mean))
+        + w4 * (abs(m4 - mean) + abs(p4 - mean)) + w5 * (abs(m5 - mean) + abs(p5 - mean))
+        + w6 * (abs(m6 - mean) + abs(p6 - mean))
+    )
+    if not math.isfinite(resasc):
         nodes = (
             (center, fc),
             (center - d0, m0), (center + d0, p0), (center - d1, m1), (center + d1, p1),
@@ -121,16 +132,7 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
         # the same a and b give the same nodes, so the table holds every one
         value, err = _gauss_kronrod({x: 0.0625 * y for x, y in nodes}.__getitem__, a, b)
         return 16.0 * value, 16.0 * err
-    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
-    # QUADPACK-style scaled error estimate.
-    mean = resk * 0.5
-    resasc = (
-        w7 * abs(fc - mean)
-        + w0 * (abs(m0 - mean) + abs(p0 - mean)) + w1 * (abs(m1 - mean) + abs(p1 - mean))
-        + w2 * (abs(m2 - mean) + abs(p2 - mean)) + w3 * (abs(m3 - mean) + abs(p3 - mean))
-        + w4 * (abs(m4 - mean) + abs(p4 - mean)) + w5 * (abs(m5 - mean) + abs(p5 - mean))
-        + w6 * (abs(m6 - mean) + abs(p6 - mean))
-    ) * abs(half)
+    resasc *= abs(half)
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)

@@ -261,6 +261,9 @@ def test_finite_values_whose_panel_sum_overflows_integrate():
     assert (r.value, r.converged, r.evaluations, len(calls)) == (1e308, True, 15, 15)
     r = integrate(lambda t: 1e308, 0.0, 0.5)
     assert (r.value, r.converged) == (5e307, True)
+    # the Kronrod sum is finite but the sum of |f - resk/2| is not
+    r = integrate(lambda t: 1.7e308 if t > 0.5 else -1.7e308, 0.0, 1.0)
+    assert math.isfinite(r.error_estimate) and r.converged and abs(r.value) <= 1e-12 * 1.7e308
 
 
 def test_finite_values_that_overflow_raise():

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
 
@@ -38,8 +38,7 @@ _MAX_STEPS = 60
 _SERIES_TERM_CAP = 200
 
 
-@dataclass(frozen=True)
-class AgmSequence:
+class AgmSequence(NamedTuple):
     """Full AGM iteration record.
 
     ``iterates`` holds every (p_n, q_n) pair starting with the (possibly
@@ -54,8 +53,7 @@ class AgmSequence:
     swapped: bool
 
 
-@dataclass(frozen=True)
-class LemniscateArcs:
+class LemniscateArcs(NamedTuple):
     quarter_arc: float
     full_arc: float
     gauss_constant: float
@@ -171,10 +169,11 @@ def _legendre(kp: float, phi: float | None = None) -> tuple[float, float, float]
     return phi / (2.0 * weight * limit), tail, sines
 
 
-def _second_kind(k: float, phi: float | None = None) -> float:
-    """E(phi, k), or E(k) for phi None, from the walk of ``_legendre``."""
+def _second_kind(k: float, phi: float | None = None) -> tuple[float, float]:
+    """(E(phi, k), F(phi, k)), or (E(k), K(k)) for phi None, from one walk
+    of ``_legendre``."""
     F, tail, sines = _legendre(complement(k), phi)
-    return F * (1.0 - (0.5 * k * k + tail)) + sines
+    return F * (1.0 - (0.5 * k * k + tail)) + sines, F
 
 
 def complete_K(k: float) -> float:
@@ -195,7 +194,7 @@ def complete_E(k: float) -> float:
     _check_modulus(k, allow_one=True)
     if k == 1.0:
         return 1.0
-    return _second_kind(k)
+    return _second_kind(k)[0]
 
 
 def incomplete_F(phi: float, k: float) -> float:
@@ -216,7 +215,7 @@ def incomplete_E(phi: float, k: float) -> float:
     _check_modulus(k, allow_one=True)
     if k == 1.0:
         return math.sin(phi)
-    return _second_kind(k, phi)
+    return _second_kind(k, phi)[0]
 
 
 def _series_terms(kind: str, k: float, terms: int) -> list[float]:

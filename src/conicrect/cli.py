@@ -23,7 +23,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import conics as _conics
 from . import construction as _construction
@@ -41,8 +41,7 @@ from .errors import ConvergenceError, DomainError
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """One command's result, JSON-serializable at full double precision."""
 
     op: str
@@ -50,10 +49,10 @@ class RunReport:
     values: dict[str, object]
     residual: float | None = None
     iterations: int | None = None
-    flags: list[str] = field(default_factory=list)
+    flags: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        payload = {"schema_version": SCHEMA_VERSION, **asdict(self)}
+        payload = {"schema_version": SCHEMA_VERSION, **self._asdict()}
         return json.dumps(payload, sort_keys=True)
 
     def to_plain(self) -> str:
@@ -124,7 +123,7 @@ OPS = {
             "value": _conics.ellipse_tangent_length(_conics.Ellipse(v["m"], v["n"]), v["x"])
         },
     ),
-    "lemniscate": (("radius",), lambda v: asdict(lemniscate(v["radius"]))),
+    "lemniscate": (("radius",), lambda v: lemniscate(v["radius"])._asdict()),
 }
 
 # ``excess series --terms`` is the one integer flag, 3 when omitted.  ``table``
@@ -171,7 +170,7 @@ def _take(args: argparse.Namespace, op: str, names: tuple[str, ...]) -> dict[str
 def _cmd_agm(args: argparse.Namespace) -> int:
     seq = agm(args.p, args.q, args.tol)
     values = {"limit": seq.limit, "iterates": [[pn, qn] for pn, qn in seq.iterates]}
-    flags = ["inputs-swapped"] if seq.swapped else []
+    flags = ("inputs-swapped",) if seq.swapped else ()
     inputs = {"p": args.p, "q": args.q}
     _emit(RunReport("agm", inputs, values, iterations=seq.iterations, flags=flags), args.json)
     return 0

@@ -13,11 +13,11 @@ test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agm import _legendre, complete_E, incomplete_E
 from .errors import DomainError
-from .landen import ResidualReport
+from .landen import ResidualReport, _Checked
 from .quadrature import integrate
 
 __all__ = [
@@ -49,23 +49,28 @@ __all__ = [
 ]
 
 
-def _check_semiaxes(conic: Hyperbola | Ellipse) -> None:
-    if not (0.0 < conic.a < math.inf and 0.0 < conic.b < math.inf):
-        raise DomainError(
-            f"{type(conic).__name__.lower()} semiaxes must be positive and finite, "
-            f"got a={conic.a!r}, b={conic.b!r}"
-        )
-
-
-@dataclass(frozen=True)
-class Hyperbola:
-    """Hyperbola x^2/a^2 - y^2/b^2 = 1 with a the transverse semiaxis."""
-
+class _Semiaxes(NamedTuple):
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        _check_semiaxes(self)
+
+class _Conic(_Checked, _Semiaxes):
+    """Semiaxes checked positive and finite on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: float, b: float) -> _Conic:
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise DomainError(
+                f"{cls.__name__.lower()} semiaxes must be positive and finite, got a={a!r}, b={b!r}"
+            )
+        return super().__new__(cls, a, b)
+
+
+class Hyperbola(_Conic):
+    """Hyperbola x^2/a^2 - y^2/b^2 = 1 with a the transverse semiaxis."""
+
+    __slots__ = ()
 
     @property
     def focal_distance(self) -> float:
@@ -87,15 +92,10 @@ class Hyperbola:
         return (self.a * self.a - self.b * self.b) / (2.0 * self.a)
 
 
-@dataclass(frozen=True)
-class Ellipse:
+class Ellipse(_Conic):
     """Ellipse x^2/a^2 + y^2/b^2 = 1."""
 
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        _check_semiaxes(self)
+    __slots__ = ()
 
     @property
     def g(self) -> float:
@@ -109,18 +109,20 @@ class Ellipse:
         return math.sqrt(self.g)
 
 
-@dataclass(frozen=True)
-class LandenPair:
-    """Coefficients m > n > 0 linking one hyperbola to its two ellipses."""
-
+class _Coefficients(NamedTuple):
     m: float
     n: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.n < self.m < math.inf:
-            raise DomainError(
-                f"LandenPair requires finite m > n > 0, got m={self.m!r}, n={self.n!r}"
-            )
+
+class LandenPair(_Checked, _Coefficients):
+    """Coefficients m > n > 0 linking one hyperbola to its two ellipses."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: float, n: float) -> LandenPair:
+        if not 0.0 < n < m < math.inf:
+            raise DomainError(f"LandenPair requires finite m > n > 0, got m={m!r}, n={n!r}")
+        return super().__new__(cls, m, n)
 
     @property
     def hyperbola(self) -> Hyperbola:
@@ -135,8 +137,7 @@ class LandenPair:
         return Ellipse(self.m, self.n)
 
 
-@dataclass(frozen=True)
-class PedalPoint:
+class PedalPoint(NamedTuple):
     """Pedal data of a curve point: center distance r, tangent-foot distance
     p, and tangent segment t with t^2 + p^2 = r^2."""
 
@@ -145,8 +146,7 @@ class PedalPoint:
     t: float
 
 
-@dataclass(frozen=True)
-class ExcessBreakdown:
+class ExcessBreakdown(NamedTuple):
     """The named pieces of the finite-excess decomposition."""
 
     hyp_arc: float
@@ -180,12 +180,14 @@ def _check_pedal(H: Hyperbola, p: float) -> None:
 def _branch_root(H: Hyperbola, p: float) -> float:
     """sqrt(s) = b sqrt(a^2 - p^2) / (p sqrt(a^2 + b^2)), the sinh of the
     branch parameter at pedal distance p; formed without p^2, which
-    underflows long before sqrt(s) overflows."""
+    underflows long before sqrt(s) overflows.  A root that overflows, or
+    that is NaN because a^2 - p^2 and p sqrt(a^2 + b^2) both do, is a
+    DomainError."""
     _check_pedal(H, p)
     a, b = H.a, H.b
     root = b * math.sqrt((a - p) * (a + p)) / (p * H.focal_distance)
-    if root == math.inf:
-        raise DomainError(f"pedal distance {p!r} is too small: the branch point overflows")
+    if not root < math.inf:
+        raise DomainError(f"the branch point overflows at a={a!r}, b={b!r}, pedal distance {p!r}")
     return root
 
 
@@ -311,10 +313,12 @@ def excess_finite(H: Hyperbola, p: float) -> float:
     theta = acos(p/a).  The integrand is smooth and positive, so nothing
     cancels as p -> 0 and the tolerance applies to the excess itself.
     Strictly increasing as p decreases; tends to the closed-form limit as
-    p -> 0.
+    p -> 0.  Semiaxes whose a^2 + b^2 overflows raise DomainError.
     """
     _check_pedal(H, p)
     a2, b2 = H.a * H.a, H.b * H.b
+    if not a2 + b2 < math.inf:
+        raise DomainError(f"a^2 + b^2 overflows, got a={H.a!r}, b={H.b!r}")
     theta = math.atan2(math.sqrt((H.a - p) * (H.a + p)), p)
 
     def f(phi: float) -> float:

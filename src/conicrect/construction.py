@@ -12,7 +12,7 @@ output is byte-stable for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .conics import (
     LandenPair,
@@ -28,8 +28,7 @@ __all__ = ["ConstructionPoints", "construction_points", "validate_points", "rend
 POINT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ConstructionPoints:
+class ConstructionPoints(NamedTuple):
     """Named points of the figure, in the hyperbola-centered frame."""
 
     S: tuple[float, float]
@@ -45,7 +44,7 @@ class ConstructionPoints:
 
     def as_dict(self) -> dict[str, tuple[float, float]]:
         """The points by name, in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "pedal_radius"}
+        return {name: value for name, value in zip(self._fields, self) if name != "pedal_radius"}
 
 
 def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:

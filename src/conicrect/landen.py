@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .agm import (
-    _amplitude_step, _check_amplitude, _check_modulus, _legendre, complement, complete_E,
-    complete_K, incomplete_F,
+    _amplitude_step, _check_amplitude, _check_modulus, _legendre, _second_kind, complement,
+    complete_E, incomplete_F,
 )
 from .errors import DomainError
 from .quadrature import integrate
@@ -36,49 +36,62 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LagrangeParams:
+class _Checked:
+    """Base of a record whose ``__new__`` checks its fields: ``_make``, and
+    with it ``_replace``, builds through that constructor."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Step(NamedTuple):
+    p: float
+    q: float
+
+
+class LagrangeParams(_Checked, _Step):
     """One AGM step (p, q) -> (p1, q1) = ((p+q)/2, sqrt(pq)).
 
     Requires 0 < q <= p < inf with finite means (p + q and p q must not
-    overflow) and p q no smaller than the smallest normal double; the
-    derived means are computed on construction.
+    overflow) and p q no smaller than the smallest normal double.  The
+    fields are p and q; the means p1 and q1 are formed from them on access.
     """
 
-    p: float
-    q: float
-    p1: float = field(init=False)
-    q1: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.q <= self.p < math.inf:
-            raise DomainError(
-                f"LagrangeParams requires 0 < q <= p < inf, got p={self.p!r}, q={self.q!r}"
-            )
-        object.__setattr__(self, "p1", 0.5 * (self.p + self.q))
-        object.__setattr__(self, "q1", math.sqrt(self.p * self.q))
+    def __new__(cls, p: float, q: float) -> LagrangeParams:
+        if not 0.0 < q <= p < math.inf:
+            raise DomainError(f"LagrangeParams requires 0 < q <= p < inf, got p={p!r}, q={q!r}")
+        self = super().__new__(cls, p, q)
         if not (self.p1 < math.inf and self.q1 < math.inf):
-            raise DomainError(
-                f"LagrangeParams means overflow, got p={self.p!r}, q={self.q!r}"
-            )
-        if self.p * self.q < sys.float_info.min:
-            raise DomainError(
-                f"LagrangeParams product p q underflows, got p={self.p!r}, q={self.q!r}"
-            )
+            raise DomainError(f"LagrangeParams means overflow, got p={p!r}, q={q!r}")
+        if p * q < sys.float_info.min:
+            raise DomainError(f"LagrangeParams product p q underflows, got p={p!r}, q={q!r}")
+        return self
+
+    @property
+    def p1(self) -> float:
+        return 0.5 * (self.p + self.q)
+
+    @property
+    def q1(self) -> float:
+        return math.sqrt(self.p * self.q)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Both sides of an identity plus their absolute difference."""
+class ResidualReport(NamedTuple):
+    """Both sides of an identity; ``residual`` is their absolute difference."""
 
     name: str
     inputs: dict[str, float]
     lhs: float
     rhs: float
-    residual: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "residual", abs(self.lhs - self.rhs))
+    @property
+    def residual(self) -> float:
+        return abs(self.lhs - self.rhs)
 
     def within(self, tolerance: float) -> bool:
         if not 0.0 <= tolerance < math.inf:
@@ -177,11 +190,12 @@ def check_gleichung(phi: float, k: float) -> ResidualReport:
 
 
 def check_borwein(k: float) -> ResidualReport:
-    """Residual of E(k) = (1+k)/2 E(2 sqrt(k)/(1+k)) + (1-k^2)/2 K(k)."""
+    """Residual of E(k) = (1+k)/2 E(2 sqrt(k)/(1+k)) + (1-k^2)/2 K(k), with
+    E(k) and K(k) from one walk."""
     _check_modulus(k)
-    lhs = complete_E(k)
+    lhs, K = _second_kind(k)
     k_hat = modulus_ascend(k)
-    rhs = 0.5 * (1.0 + k) * complete_E(k_hat) + 0.5 * (1.0 - k * k) * complete_K(k)
+    rhs = 0.5 * (1.0 + k) * complete_E(k_hat) + 0.5 * (1.0 - k * k) * K
     return ResidualReport("borwein", {"k": k}, lhs, rhs)
 
 

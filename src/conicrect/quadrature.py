@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, IntegrandError
 
@@ -32,8 +31,7 @@ _REL_TOL = 1e-12
 _MAX_EVALUATIONS = 2_000_000
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
     evaluations: int

@@ -175,6 +175,23 @@ class TestPedal:
         with pytest.raises(DomainError):
             hyperbola_tangent_length(H, 5e-324)  # so does its tangent segment
 
+    def test_overflowing_squares_are_domain_errors(self):
+        # (a - p)(a + p) and p sqrt(a^2 + b^2) both overflow, so the branch
+        # root was inf/inf = NaN: a NaN radius and point, and hi=nan in the arc
+        H = Hyperbola(1e200, 1e200)
+        for f in (hyperbola_radius_from_pedal, hyperbola_point_from_pedal, hyperbola_arc, excess_finite):
+            with pytest.raises(DomainError, match="overflows"):
+                f(H, 5e199)
+        # a^2 and b^2 are finite and their sum is not: the excess integrand
+        # divided by an infinite root and returned 0.0 for 4.716e153
+        for a, b in ((1e154, 1.3e154), (1.3e154, 1e154)):
+            with pytest.raises(DomainError, match="overflows"):
+                excess_finite(Hyperbola(a, b), 5e153)
+        # the branch point itself is still representable there
+        assert hyperbola_point_from_pedal(Hyperbola(1e154, 1.3e154), 5e153) == pytest.approx(
+            (1.6984576427783728e154, 1.7847245265552134e154), rel=1e-15, abs=0.0
+        )
+
     @settings(max_examples=100, deadline=None)
     @given(
         a=st.floats(min_value=0.1, max_value=10.0),

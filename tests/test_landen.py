@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from conicrect import (
     check_agm_invariance,
     check_borwein,
     check_gleichung,
+    complete_E,
     complete_K,
     incomplete_F,
     integrate,
@@ -296,6 +298,24 @@ class TestBorwein:
     def test_grid(self):
         for k in [0.1 * j for j in range(10)]:
             assert check_borwein(k).residual < 1e-12
+
+    def test_one_walk_gives_E_and_K(self, monkeypatch):
+        # E(k) and K(k) share one walk over (1, k'), E(k_hat) takes a second
+        # unless k_hat rounds to 1; both sides keep the bits of the separate
+        # kernels
+        rng = random.Random(5)
+        moduli = [0.0, 1.0 / 9.0, 1.0 - 1e-12] + [10.0 ** -rng.uniform(0.0, 12.0) for _ in range(100)]
+        moduli += [1.0 - 10.0 ** -rng.uniform(0.3, 12.0) for _ in range(100)]
+        agm_module = sys.modules["conicrect.agm"]
+        walk = agm_module._legendre
+        walks = []
+        monkeypatch.setattr(agm_module, "_legendre", lambda *args: walks.append(args) or walk(*args))
+        reports = [check_borwein(k) for k in moduli]
+        assert len(walks) == sum(1 + (modulus_ascend(k) < 1.0) for k in moduli)
+        monkeypatch.undo()
+        for k, rep in zip(moduli, reports):
+            assert rep.lhs == complete_E(k)
+            assert rep.rhs == 0.5 * (1.0 + k) * complete_E(modulus_ascend(k)) + 0.5 * (1.0 - k * k) * complete_K(k)
 
 
 class TestAgmInvariance:

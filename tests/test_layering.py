@@ -1,14 +1,15 @@
 """The kernels and the quadrature oracle share no code: the AGM module does
 not import the oracle, and the oracle imports nothing of the package but its
-errors."""
+errors.  No module imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
 
 import conicrect
 
-AGM = Path(conicrect.__file__).parent / "agm.py"
-QUADRATURE = Path(conicrect.__file__).parent / "quadrature.py"
+PACKAGE = Path(conicrect.__file__).parent
+AGM = PACKAGE / "agm.py"
+QUADRATURE = PACKAGE / "quadrature.py"
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
@@ -32,3 +33,14 @@ def test_quadrature_imports_only_errors_from_the_package():
     relative = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
     assert relative == ["errors"]
     assert not [name for name in _imported_modules(tree) if name.split(".")[0] == "conicrect"]
+
+
+def test_no_module_imports_dataclasses():
+    # the records are named tuples; dataclasses, with the inspect, ast and
+    # dis it imports, was about half of ``import conicrect``
+    importers = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in {name.split(".")[0] for name in _imported_modules(ast.parse(path.read_text(), str(path)))}
+    ]
+    assert importers == []

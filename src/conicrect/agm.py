@@ -79,19 +79,17 @@ def complement(k: float) -> float:
     return math.sqrt((1.0 - k) * (1.0 + k))
 
 
-def _agm_steps(
-    p: float, q: float, abs_tol: float = _STOP_ABS, rel_tol: float = _STOP_REL
-) -> Iterator[tuple[float, float]]:
+def _agm_steps(p: float, q: float) -> Iterator[tuple[float, float]]:
     """The AGM iterates (p_n, q_n) from (p, q), p >= q > 0, the first included.
 
-    Stops after the pair with p_n - q_n <= max(abs_tol, rel_tol * p_n), or
-    with a difference that stopped shrinking; raises after _MAX_STEPS steps.
+    Stops after the pair with p_n - q_n <= max(_STOP_ABS, _STOP_REL * p_n),
+    or with a difference that stopped shrinking; raises after _MAX_STEPS steps.
     """
     prev_diff = math.inf
     for _ in range(_MAX_STEPS + 1):
         yield p, q
         diff = p - q
-        if diff <= abs_tol or diff <= rel_tol * p or diff >= prev_diff:
+        if diff <= _STOP_ABS or diff <= _STOP_REL * p or diff >= prev_diff:
             return
         prev_diff = diff
         p, q = 0.5 * (p + q), math.sqrt(p * q)
@@ -100,20 +98,18 @@ def _agm_steps(
     raise ConvergenceError(f"agm failed to converge within {_MAX_STEPS} iterations")
 
 
-def agm(p0: float, q0: float, tol: float | None = None) -> AgmSequence:
+def agm(p0: float, q0: float) -> AgmSequence:
     """Arithmetic-geometric mean iteration with full history.
 
     Inputs must be positive and finite, with q0/p0 in the normal range; if
     p0 < q0 they are swapped and the swap is recorded.  The walk runs on the
     inputs scaled by the power of two that takes p0 into [0.5, 1), so it
     neither overflows nor underflows, and its iterates and limit are scaled
-    back exactly.  It stops at p_n - q_n <= tol, an absolute tolerance, or
-    by default at max(1e-15, 1e-15 p_n) on the scaled iterates.
+    back exactly.  It stops at p_n - q_n <= max(1e-15, 1e-15 p_n) on the
+    scaled iterates, at full double precision.
     """
     if not (0.0 < p0 < math.inf and 0.0 < q0 < math.inf):
         raise DomainError(f"agm requires positive finite inputs, got p0={p0!r}, q0={q0!r}")
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise DomainError(f"agm tolerance must be positive and finite, got {tol!r}")
     swapped = p0 < q0
     if swapped:
         p0, q0 = q0, p0
@@ -121,7 +117,7 @@ def agm(p0: float, q0: float, tol: float | None = None) -> AgmSequence:
     p, q = math.ldexp(p0, -e), math.ldexp(q0, -e)
     if q < sys.float_info.min:
         raise DomainError(f"agm requires q0/p0 in the normal range, got p0={p0!r}, q0={q0!r}")
-    scaled = tuple(_agm_steps(p, q) if tol is None else _agm_steps(p, q, math.ldexp(tol, -e), 0.0))
+    scaled = tuple(_agm_steps(p, q))
     p, q = scaled[-1]
     return AgmSequence(
         p0=p0,

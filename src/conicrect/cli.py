@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Usage:
-    conicrect agm --p 1 --q 0.8 --tol 1e-15 --json
+    conicrect agm --p 1 --q 0.8 --json
     conicrect ellint K --k 0.70710678118654752
     conicrect ellint F --k 0.8 --phi 0.7853981633974483
     conicrect excess closed --a 1 --b 2.8284271247461903
@@ -168,7 +168,7 @@ def _take(args: argparse.Namespace, op: str, names: tuple[str, ...]) -> dict[str
 
 
 def _cmd_agm(args: argparse.Namespace) -> int:
-    seq = agm(args.p, args.q, args.tol)
+    seq = agm(args.p, args.q)
     values = {"limit": seq.limit, "iterates": [[pn, qn] for pn, qn in seq.iterates]}
     flags = ("inputs-swapped",) if seq.swapped else ()
     inputs = {"p": args.p, "q": args.q}
@@ -267,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_agm = sub.add_parser("agm", help="arithmetic-geometric mean with history")
     p_agm.add_argument("--p", type=float, required=True)
     p_agm.add_argument("--q", type=float, required=True)
-    p_agm.add_argument("--tol", type=float, default=None)
     p_agm.add_argument("--json", action="store_true")
     p_agm.set_defaults(func=_cmd_agm)
 

@@ -24,19 +24,14 @@ __all__ = [
     "Hyperbola",
     "Ellipse",
     "LandenPair",
-    "PedalPoint",
     "ExcessBreakdown",
     "semiaxes_to_pair",
-    "pair_to_semiaxes",
-    "hyperbola_radius_from_pedal",
     "hyperbola_point_from_pedal",
-    "hyperbola_pedal_point",
     "hyperbola_tangent_length",
     "hyperbola_arc",
     "ellipse_tangent_length",
     "abscissae_from_tangent",
     "ellipse_arc",
-    "ellipse_quadrant",
     "excess_finite",
     "excess_infinity_closed",
     "excess_infinity_series",
@@ -77,19 +72,9 @@ class Hyperbola(_Conic):
         return math.hypot(self.a, self.b)
 
     @property
-    def eccentricity(self) -> float:
-        return self.focal_distance / self.a
-
-    @property
     def modulus(self) -> float:
         """Elliptic modulus a / sqrt(a^2 + b^2) of the excess integrals."""
         return self.a / self.focal_distance
-
-    @property
-    def axis_defect(self) -> float:
-        """Auxiliary length (a^2 - b^2)/(2a); the pedal radius satisfies
-        r^2 = 2 a axis_defect + a X with X = a b^2 / p^2."""
-        return (self.a * self.a - self.b * self.b) / (2.0 * self.a)
 
 
 class Ellipse(_Conic):
@@ -137,15 +122,6 @@ class LandenPair(_Checked, _Coefficients):
         return Ellipse(self.m, self.n)
 
 
-class PedalPoint(NamedTuple):
-    """Pedal data of a curve point: center distance r, tangent-foot distance
-    p, and tangent segment t with t^2 + p^2 = r^2."""
-
-    r: float
-    p: float
-    t: float
-
-
 class ExcessBreakdown(NamedTuple):
     """The named pieces of the finite-excess decomposition."""
 
@@ -154,9 +130,6 @@ class ExcessBreakdown(NamedTuple):
     t: float
     eta1: float
     eta2: float
-    s1: float
-    s2: float
-    limit_L: float
 
 
 def semiaxes_to_pair(a: float, b: float) -> LandenPair:
@@ -165,11 +138,6 @@ def semiaxes_to_pair(a: float, b: float) -> LandenPair:
     # n = (sqrt(a^2+b^2) - a)/2 in the cancellation-free form b^2/(4m)
     n = b * b / (4.0 * m)
     return LandenPair(m, n)
-
-
-def pair_to_semiaxes(pair: LandenPair) -> tuple[float, float]:
-    h = pair.hyperbola
-    return h.a, h.b
 
 
 def _check_pedal(H: Hyperbola, p: float) -> None:
@@ -191,12 +159,6 @@ def _branch_root(H: Hyperbola, p: float) -> float:
     return root
 
 
-def hyperbola_radius_from_pedal(H: Hyperbola, p: float) -> float:
-    """Center distance of the branch point whose tangent-foot distance is p:
-    r^2 = a^2 - b^2 + a^2 b^2 / p^2 = a^2 + (a^2 + b^2) s."""
-    return math.hypot(H.a, H.focal_distance * _branch_root(H, p))
-
-
 def hyperbola_point_from_pedal(H: Hyperbola, p: float) -> tuple[float, float]:
     """Upper-right branch point whose tangent line has foot distance p.
 
@@ -209,21 +171,14 @@ def hyperbola_point_from_pedal(H: Hyperbola, p: float) -> tuple[float, float]:
 
 
 def hyperbola_tangent_length(H: Hyperbola, p: float) -> float:
-    """Tangent segment sqrt(r^2 - p^2) = sqrt((a^2-p^2)(b^2+p^2)) / p."""
+    """Tangent segment sqrt(r^2 - p^2) = sqrt((a^2-p^2)(b^2+p^2)) / p; one that
+    overflows, or is NaN as 0 inf at the vertex, is a DomainError."""
     _check_pedal(H, p)
     a, b = H.a, H.b
     length = math.sqrt((a - p) * (a + p) * (b * b + p * p)) / p
-    if length == math.inf:
+    if not length < math.inf:
         raise DomainError(f"the tangent length overflows at pedal distance {p!r}")
     return length
-
-
-def hyperbola_pedal_point(H: Hyperbola, p: float) -> PedalPoint:
-    return PedalPoint(
-        r=hyperbola_radius_from_pedal(H, p),
-        p=p,
-        t=hyperbola_tangent_length(H, p),
-    )
 
 
 def hyperbola_arc(H: Hyperbola, p_lo: float) -> float:
@@ -299,11 +254,6 @@ def ellipse_arc(E: Ellipse, x0: float, x1: float) -> float:
     return E.a * (incomplete_E(phi1, ecc) - incomplete_E(phi0, ecc))
 
 
-def ellipse_quadrant(E: Ellipse) -> float:
-    """Quarter-perimeter a E(e) of an ellipse with a >= b."""
-    return E.a * complete_E(E.eccentricity)
-
-
 def excess_finite(H: Hyperbola, p: float) -> float:
     """Tangent segment minus arc from the vertex, at pedal distance p.
 
@@ -350,10 +300,27 @@ _SERIES_COEFFS = (0.5, -3.0 / 16.0, 15.0 / 128.0, -175.0 / 2048.0)
 
 def _excess_series(H: Hyperbola, terms: int) -> tuple[float, float]:
     """Prefactor pi a^2 / 2b and ratio (a/b)^2 of the flat-hyperbola series,
-    whose first ``terms`` terms, 1 to 3, are available."""
+    whose first ``terms`` terms, 1 to 3, are available.  A prefactor, power
+    of the ratio or sum of the series that is not finite is a DomainError."""
     if not (isinstance(terms, int) and 1 <= terms <= 3):
         raise DomainError(f"terms must be 1, 2, or 3, got {terms!r}")
-    return 0.5 * math.pi * H.a * H.a / H.b, (H.a / H.b) ** 2
+    prefactor = _finite_series(H, 0.5 * math.pi * H.a * H.a / H.b)
+    return prefactor, _finite_series(H, _power(H.a / H.b, 2))
+
+
+def _power(x: float, n: int) -> float:
+    """x ** n, or inf where float ** raises OverflowError."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf
+
+
+def _finite_series(H: Hyperbola, value: float) -> float:
+    """``value``, or DomainError if it is not finite."""
+    if not abs(value) < math.inf:
+        raise DomainError(f"the excess series overflows at a={H.a!r}, b={H.b!r}")
+    return value
 
 
 def excess_infinity_series(H: Hyperbola, terms: int) -> float:
@@ -368,14 +335,14 @@ def excess_infinity_series(H: Hyperbola, terms: int) -> float:
     for j in range(terms):
         total += _SERIES_COEFFS[j] * power
         power *= ratio
-    return prefactor * total
+    return _finite_series(H, prefactor * total)
 
 
 def excess_series_remainder_bound(H: Hyperbola, terms: int) -> float:
     """Magnitude of the first omitted series term; bounds the truncation
     error while the terms still decrease (a alternating series)."""
     prefactor, ratio = _excess_series(H, terms)
-    return prefactor * abs(_SERIES_COEFFS[terms]) * ratio**terms
+    return _finite_series(H, prefactor * abs(_SERIES_COEFFS[terms]) * _power(ratio, terms))
 
 
 def excess_infinity_landen(pair: LandenPair) -> float:
@@ -387,15 +354,10 @@ def excess_infinity_landen(pair: LandenPair) -> float:
     order of m while their difference is of the order of m (a/b)^2, so it
     cancels like (a/b)^2 and loses all digits as a/b -> 1e-8.
     """
-    return _quadrants(pair)[2]
-
-
-def _quadrants(pair: LandenPair) -> tuple[float, float, float]:
-    """The outer and inner quadrants S1, S2 and the limit excess 2 S2 - S1."""
     m, n = pair.m, pair.n
     s2 = m * complete_E(math.sqrt((m - n) * (m + n)) / m)
     s1 = (m + n) * complete_E((m - n) / (m + n))
-    return s1, s2, 2.0 * s2 - s1
+    return 2.0 * s2 - s1
 
 
 def _eta1_integrand(pair: LandenPair):
@@ -444,17 +406,7 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     hyp_arc = hyperbola_arc(H, p)
     eta1 = integrate(_eta1_integrand(pair), 0.0, t).value
     eta2 = integrate(_ellipse_arc_theta_integrand(pair.ellipse_inner), 0.0, theta_minus).value
-    s1, s2, limit_L = _quadrants(pair)
-    breakdown = ExcessBreakdown(
-        hyp_arc=hyp_arc,
-        t_hyp=t_hyp,
-        t=t,
-        eta1=eta1,
-        eta2=eta2,
-        s1=s1,
-        s2=s2,
-        limit_L=limit_L,
-    )
+    breakdown = ExcessBreakdown(hyp_arc=hyp_arc, t_hyp=t_hyp, t=t, eta1=eta1, eta2=eta2)
     report = ResidualReport(
         "landen-theorem",
         {"m": pair.m, "n": pair.n, "t": t},

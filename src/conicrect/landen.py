@@ -15,8 +15,8 @@ import sys
 from typing import NamedTuple
 
 from .agm import (
-    _amplitude_step, _check_amplitude, _check_modulus, _legendre, _second_kind, complement,
-    complete_E, incomplete_F,
+    _amplitude_step, _check_amplitude, _check_modulus, _legendre, _second_kind, complete_E,
+    incomplete_F,
 )
 from .errors import DomainError
 from .quadrature import integrate
@@ -25,7 +25,6 @@ __all__ = [
     "LagrangeParams",
     "ResidualReport",
     "modulus_ascend",
-    "modulus_descend",
     "amplitude_map",
     "amplitude_inverse",
     "lagrange_substitution",
@@ -103,13 +102,6 @@ def modulus_ascend(k: float) -> float:
     """Ascending map k -> 2 sqrt(k)/(1+k); fixed points at 0 and 1."""
     _check_modulus(k, allow_one=True)
     return 2.0 * math.sqrt(k) / (1.0 + k)
-
-
-def modulus_descend(k_hat: float) -> float:
-    """Inverse of the ascending map: k = (1-k')/(1+k') with k' = sqrt(1-k_hat^2)."""
-    _check_modulus(k_hat, allow_one=True)
-    r = k_hat / (1.0 + complement(k_hat))  # (1-k')/(1+k') = (k_hat/(1+k'))^2
-    return r * r
 
 
 def amplitude_map(phi_hat: float, k: float) -> float:

@@ -19,7 +19,7 @@ def run(capsys, *argv):
 
 class TestAgmVerb:
     def test_json_iterates(self, capsys):
-        code, out = run(capsys, "agm", "--p", "1", "--q", "0.8", "--tol", "1e-15", "--json")
+        code, out = run(capsys, "agm", "--p", "1", "--q", "0.8", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["schema_version"] == 1
@@ -260,7 +260,7 @@ class TestOneRegistry:
 
 # One valid argv per verb form; every float flag of each is made non-finite below.
 VERB_FORMS = [
-    ["agm", "--p", "1", "--q", "0.8", "--tol", "1e-15"],
+    ["agm", "--p", "1", "--q", "0.8"],
     ["ellint", "K", "--k", "0.5"],
     ["ellint", "E", "--k", "0.5"],
     ["ellint", "F", "--k", "0.5", "--phi", "0.7"],
@@ -343,3 +343,18 @@ def test_non_finite_input_is_a_domain_error(capsys, tmp_path, argv):
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-verb"]) == 2
+    assert main(["agm", "--p", "1", "--q", "0.8", "--tol", "1e-15"]) == 2  # agm takes no tolerance
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (a/b)^2 overflows; the prefactor pi a^2 / 2b overflows
+        ["excess", "series", "--a", "3e-42", "--b", "2e-290", "--terms", "2"],
+        ["excess", "series", "--a", "1.7e308", "--b", "1e300", "--terms", "2"],
+    ],
+)
+def test_overflowing_series_is_a_domain_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("domain error:") and captured.out == ""

@@ -15,7 +15,6 @@ from conicrect import (
     abscissae_from_tangent,
     complete_E,
     ellipse_arc,
-    ellipse_quadrant,
     ellipse_tangent_length,
     excess_finite,
     excess_infinity_closed,
@@ -24,13 +23,10 @@ from conicrect import (
     excess_series_remainder_bound,
     fagnano_check,
     hyperbola_arc,
-    hyperbola_pedal_point,
     hyperbola_point_from_pedal,
-    hyperbola_radius_from_pedal,
     integrate,
     landen_theorem_check,
     maclaurin_excess_integrand,
-    pair_to_semiaxes,
     semiaxes_to_pair,
     simpson_arc,
 )
@@ -38,6 +34,11 @@ from conicrect import conics
 from conicrect.conics import hyperbola_tangent_length
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+
+def pedal_radius(H, p):
+    """Center distance of the branch point whose tangent-foot distance is p."""
+    return math.hypot(*hyperbola_point_from_pedal(H, p))
 
 
 def pedal_form_arc(H, p_lo):
@@ -68,12 +69,9 @@ def cesso_r_oracle(a, b):
 class TestTypes:
     def test_hyperbola_derived(self):
         H = Hyperbola(3.0, 2.0)
-        assert H.eccentricity == pytest.approx(math.sqrt(13.0) / 3.0, rel=1e-15)
-        assert H.eccentricity > 1.0
+        assert H.focal_distance == pytest.approx(math.sqrt(13.0), rel=1e-15)
+        assert H.modulus == pytest.approx(3.0 / math.sqrt(13.0), rel=1e-15)
         assert 0.0 < H.modulus < 1.0
-        assert 2.0 * H.a * H.axis_defect == pytest.approx(
-            H.a**2 - H.b**2, rel=1e-15
-        )
 
     def test_ellipse_derived(self):
         E = Ellipse(2.0, 1.0)
@@ -110,14 +108,14 @@ class TestSemiaxesPair:
         pair = semiaxes_to_pair(1.0, SQRT8)
         assert pair.m == pytest.approx(2.0, rel=1e-15)
         assert pair.n == pytest.approx(1.0, rel=1e-15)
-        assert pair_to_semiaxes(LandenPair(2.0, 1.0)) == (1.0, SQRT8)
+        assert tuple(LandenPair(2.0, 1.0).hyperbola) == (1.0, SQRT8)
 
     def test_round_trip_random(self):
         rng = random.Random(99)
         for _ in range(100):
             a = rng.uniform(0.05, 20.0)
             b = rng.uniform(0.05, 20.0)
-            a2, b2 = pair_to_semiaxes(semiaxes_to_pair(a, b))
+            a2, b2 = semiaxes_to_pair(a, b).hyperbola
             assert abs(a2 - a) <= 1e-14 * a
             assert abs(b2 - b) <= 1e-14 * b
 
@@ -131,18 +129,14 @@ class TestSemiaxesPair:
 
 class TestPedal:
     def test_radius_examples(self):
-        assert hyperbola_radius_from_pedal(Hyperbola(1.0, 1.0), 1.0) == 1.0
-        assert hyperbola_radius_from_pedal(Hyperbola(1.0, SQRT8), 1.0) == pytest.approx(
-            1.0, abs=1e-15
-        )
-        assert hyperbola_radius_from_pedal(Hyperbola(1.0, 1.0), 0.5) == pytest.approx(
-            2.0, rel=1e-15
-        )
+        assert pedal_radius(Hyperbola(1.0, 1.0), 1.0) == 1.0
+        assert pedal_radius(Hyperbola(1.0, SQRT8), 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert pedal_radius(Hyperbola(1.0, 1.0), 0.5) == pytest.approx(2.0, rel=1e-15)
 
     def test_radius_monotone_unbounded(self):
         H = Hyperbola(1.5, 0.7)
         ps = [1.5 * 2.0**-i for i in range(0, 20)]
-        rs = [hyperbola_radius_from_pedal(H, p) for p in ps]
+        rs = [pedal_radius(H, p) for p in ps]
         assert rs[0] == 1.5
         assert all(r0 < r1 for r0, r1 in zip(rs, rs[1:]))
 
@@ -169,7 +163,7 @@ class TestPedal:
         x, y = hyperbola_point_from_pedal(H, 1e-200)
         assert x == pytest.approx(2e200 / math.sqrt(5.0), rel=1e-15, abs=0.0)
         assert y == pytest.approx(4e200 / math.sqrt(5.0), rel=1e-15, abs=0.0)
-        assert hyperbola_radius_from_pedal(H, 1e-200) == pytest.approx(2e200, rel=1e-15, abs=0.0)
+        assert pedal_radius(H, 1e-200) == pytest.approx(2e200, rel=1e-15, abs=0.0)
         with pytest.raises(DomainError):
             hyperbola_point_from_pedal(H, 5e-324)  # the point itself overflows
         with pytest.raises(DomainError):
@@ -177,11 +171,14 @@ class TestPedal:
 
     def test_overflowing_squares_are_domain_errors(self):
         # (a - p)(a + p) and p sqrt(a^2 + b^2) both overflow, so the branch
-        # root was inf/inf = NaN: a NaN radius and point, and hi=nan in the arc
+        # root was inf/inf = NaN: a NaN point, and hi=nan in the arc
         H = Hyperbola(1e200, 1e200)
-        for f in (hyperbola_radius_from_pedal, hyperbola_point_from_pedal, hyperbola_arc, excess_finite):
+        for f in (hyperbola_point_from_pedal, hyperbola_arc, excess_finite):
             with pytest.raises(DomainError, match="overflows"):
                 f(H, 5e199)
+        # at the vertex a - p = 0 times an infinite b^2 + p^2 made a NaN length
+        with pytest.raises(DomainError, match="overflows"):
+            hyperbola_tangent_length(H, 1e200)
         # a^2 and b^2 are finite and their sum is not: the excess integrand
         # divided by an infinite root and returned 0.0 for 4.716e153
         for a, b in ((1e154, 1.3e154), (1.3e154, 1e154)):
@@ -200,21 +197,23 @@ class TestPedal:
     )
     def test_pedal_identity(self, a, b, frac):
         H = Hyperbola(a, b)
-        pt = hyperbola_pedal_point(H, frac * a)
-        assert abs(pt.t**2 + pt.p**2 - pt.r**2) <= 1e-12 * pt.r**2
+        p = frac * a
+        r, t = pedal_radius(H, p), hyperbola_tangent_length(H, p)
+        assert abs(t**2 + p**2 - r**2) <= 1e-12 * r**2
 
     def test_pedal_identity_canonical_hyperbolae(self):
         rng = random.Random(31)
         for H in (Hyperbola(1.0, 1.0), Hyperbola(1.0, SQRT8)):
             for _ in range(100):
-                pt = hyperbola_pedal_point(H, rng.uniform(1e-3, 1.0) * H.a)
-                assert abs(pt.t**2 + pt.p**2 - pt.r**2) <= 1e-12 * pt.r**2
+                p = rng.uniform(1e-3, 1.0) * H.a
+                r, t = pedal_radius(H, p), hyperbola_tangent_length(H, p)
+                assert abs(t**2 + p**2 - r**2) <= 1e-12 * r**2
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            hyperbola_radius_from_pedal(Hyperbola(1.0, 1.0), 0.0)
+            hyperbola_point_from_pedal(Hyperbola(1.0, 1.0), 0.0)
         with pytest.raises(DomainError):
-            hyperbola_radius_from_pedal(Hyperbola(1.0, 1.0), 1.5)
+            hyperbola_point_from_pedal(Hyperbola(1.0, 1.0), 1.5)
 
 
 class TestTangentLength:
@@ -314,10 +313,6 @@ class TestEllipseArc:
         oracle = integrate(lambda v: 2.0 * v * ds(2.0 - v * v), 0.0, math.sqrt(1.6)).value
         assert ellipse_arc(E, 0.4, 2.0) == pytest.approx(oracle, abs=1e-10)
 
-    def test_quadrant_helper(self):
-        E = Ellipse(3.0, SQRT8)
-        assert ellipse_quadrant(E) == pytest.approx(3.0 * complete_E(1.0 / 3.0), rel=1e-15)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             ellipse_arc(Ellipse(1.0, 2.0), 0.0, 1.0)
@@ -406,6 +401,18 @@ class TestExcess:
             with pytest.raises(DomainError):
                 fn(H, terms)
 
+    def test_series_overflow_is_a_domain_error(self):
+        # (a/b)^2 raised OverflowError, an overflowing prefactor gave -inf, and
+        # (a/b)^4 overflows though the prefactor and ratio are finite
+        for H, terms in (
+            (Hyperbola(3e-42, 2e-290), 2),
+            (Hyperbola(1.7e308, 1e300), 2),
+            (Hyperbola(1e-100, 1e-200), 3),
+        ):
+            for fn in (excess_infinity_series, excess_series_remainder_bound):
+                with pytest.raises(DomainError, match="overflows"):
+                    fn(H, terms)
+
     def test_landen_form_values(self):
         val = excess_infinity_landen(LandenPair(2.0, 1.0))
         assert val == pytest.approx(
@@ -417,9 +424,8 @@ class TestExcess:
     def test_landen_equals_closed(self):
         for m, n in ((2.0, 1.0), (1.0, 0.5), (7.0, 0.4)):
             pair = LandenPair(m, n)
-            a, b = pair_to_semiaxes(pair)
             assert excess_infinity_landen(pair) == pytest.approx(
-                excess_infinity_closed(Hyperbola(a, b)), abs=1e-10
+                excess_infinity_closed(pair.hyperbola), abs=1e-10
             )
 
 
@@ -433,10 +439,6 @@ class TestLandenTheorem:
         breakdown, rep = landen_theorem_check(LandenPair(2.0, 1.0), 0.5)
         assert rep.residual < 1e-9
         assert breakdown.hyp_arc > 0.0 and breakdown.eta1 > 0.0 and breakdown.eta2 > 0.0
-        # the breakdown's quadrants are the limit excess's own
-        assert breakdown.limit_L == excess_infinity_landen(LandenPair(2.0, 1.0))
-        # rearranged quadrant inequality from the breakdown invariants
-        assert breakdown.s1 <= 2.0 * breakdown.s2 + breakdown.limit_L + 1e-10
 
     def test_near_maximum(self):
         _, rep = landen_theorem_check(LandenPair(2.0, 1.0), 0.999)
@@ -444,7 +446,7 @@ class TestLandenTheorem:
         breakdown, _ = landen_theorem_check(LandenPair(2.0, 1.0), 0.9999)
         # the finite excess approaches the quadrant combination as t -> m - n
         finite_piece = breakdown.t_hyp - breakdown.hyp_arc
-        assert finite_piece == pytest.approx(breakdown.limit_L, abs=5e-3)
+        assert finite_piece == pytest.approx(excess_infinity_landen(LandenPair(2.0, 1.0)), abs=5e-3)
 
     def test_grid_sample(self):
         for ratio in (1.2, 5.0):

@@ -1,14 +1,29 @@
 """No module-level private helper outlives its last caller, no function
-accepts a parameter that it never reads, no private default goes unused, and
-every public definition is exported."""
+accepts a parameter that it never reads, no private default goes unused,
+every public definition is exported, every public name has a route, and no
+module imports a name that it never reads."""
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import conicrect
 
 SOURCES = sorted(Path(conicrect.__file__).parent.glob("*.py"))
+BENCHMARKS = sorted((Path(__file__).resolve().parents[1] / "benchmarks").glob("*.py"))
+
+# Public names that nothing in the package or the benchmarks calls, and why
+# each stays: a reference that tests hold another route against, or a map of
+# the paper that is yet to be put on a route.
+ALLOWED = {
+    "ellipse_arc": "closed-form twin of the oracle's ellipse arcs",
+    "amplitude_map": "forward map of amplitude_inverse, held to golden rows",
+    "lagrange_substitution": "the paper's change of variable for one AGM step",
+    "maclaurin_excess_integrand": "integrated in q against excess_finite",
+    "series_truncation_bound": "bounds the truncation of series_KE",
+    "excess_series_remainder_bound": "bounds the truncation of excess_infinity_series",
+}
 
 
 def _private(name: str) -> bool:
@@ -132,3 +147,135 @@ def test_every_default_of_a_private_function_is_overridden_somewhere():
                 if not {(node.name, param), (node.name, index), (node.name, "*")} & passed
             )
     assert unpassed == []
+
+
+def _public_members(cls: type) -> set[str]:
+    """Public methods and properties of a package class, fields excluded."""
+    return {
+        name
+        for klass in cls.__mro__
+        if klass.__module__.startswith("conicrect")
+        for name, value in vars(klass).items()
+        if not name.startswith("_")
+        and name not in getattr(cls, "_fields", ())
+        and isinstance(value, (property, types.FunctionType, classmethod, staticmethod))
+    }
+
+
+class _Loads(ast.NodeVisitor):
+    """Names and attributes loaded in a module, annotations not counted.
+
+    An attribute of a parameter annotated with a class, or of ``self`` in a
+    method, is found as ``Class.attr``; any other attribute as ``attr``.  A
+    load inside the definition of the name it loads is not counted."""
+
+    def __init__(self) -> None:
+        self.found: set[str] = set()
+        self.scope: list[tuple[str, dict[str, str]]] = []  # (definition, parameter types)
+        self.cls: str | None = None
+
+    def _load(self, name: str) -> None:
+        if all(name != definition for definition, _ in self.scope):
+            self.found.add(name)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        for expr in (*node.decorator_list, *node.bases, *node.keywords):
+            self.visit(expr)
+        outer, self.cls = self.cls, node.name
+        for stmt in node.body:
+            self.visit(stmt)
+        self.cls = outer
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        annotated = {arg.arg: arg.annotation.id for arg in params if isinstance(arg.annotation, ast.Name)}
+        if self.cls is not None and params:
+            annotated[params[0].arg] = self.cls
+        for expr in (*node.decorator_list, *args.defaults, *filter(None, args.kw_defaults)):
+            self.visit(expr)
+        name = node.name if self.cls is None else f"{self.cls}.{node.name}"
+        outer, self.cls = self.cls, None
+        self.scope.append((name, annotated))
+        for stmt in node.body:
+            self.visit(stmt)
+        self.scope.pop()
+        self.cls = outer
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if node.value is not None:
+            self.visit(node.value)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self._load(node.id)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        receiver = node.value
+        owner = None
+        if isinstance(receiver, ast.Name):
+            owner = next((known[receiver.id] for _, known in reversed(self.scope) if receiver.id in known), None)
+        self._load(node.attr if owner is None else f"{owner}.{node.attr}")
+        self.visit(receiver)
+
+
+def _routed() -> set[str]:
+    """Names with a route: loaded in the package, or named in the benchmarks,
+    whose layer tracer names what it wraps as strings."""
+    found = set()
+    for path in SOURCES:
+        loads = _Loads()
+        loads.visit(ast.parse(path.read_text(), str(path)))
+        found |= loads.found
+    for path in BENCHMARKS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def _public_surface() -> set[str]:
+    """Each exported name, and ``Class.member`` for each public method or
+    property of an exported class."""
+    names = set(conicrect.__all__)
+    for name in conicrect.__all__:
+        obj = getattr(conicrect, name)
+        if isinstance(obj, type):
+            names |= {f"{name}.{member}" for member in _public_members(obj)}
+    return names
+
+
+def test_every_public_name_has_a_route():
+    assert BENCHMARKS
+    routed = _routed()
+    surface = _public_surface()
+    unrouted = sorted(
+        name
+        for name in surface - set(ALLOWED)
+        if name not in routed and name.rpartition(".")[2] not in routed
+    )
+    assert unrouted == []
+    # the allow-list holds only public names that still have no route
+    assert sorted(set(ALLOWED) - surface) == []
+    assert sorted(set(ALLOWED) & routed) == []
+
+
+def test_every_import_is_read():
+    # star imports re-export; __future__ imports are compiler directives
+    unread = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+            else:
+                continue
+            unread.extend(f"{path.name}:{name}" for name in names if name not in reads)
+    assert unread == []

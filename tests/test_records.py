@@ -18,7 +18,6 @@ from conicrect import (
     agm,
     check_borwein,
     construction_points,
-    hyperbola_pedal_point,
     integrate,
     landen_theorem_check,
     lemniscate,
@@ -37,7 +36,6 @@ def _samples() -> list[tuple]:
         pair.hyperbola,
         pair.ellipse_inner,
         pair,
-        hyperbola_pedal_point(pair.hyperbola, 0.5),
         breakdown,
         report,
         LagrangeParams(4.0, 2.0),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import ConvergenceError, DomainError
@@ -79,23 +78,33 @@ def complement(k: float) -> float:
     return math.sqrt((1.0 - k) * (1.0 + k))
 
 
-def _agm_steps(p: float, q: float) -> Iterator[tuple[float, float]]:
-    """The AGM iterates (p_n, q_n) from (p, q), p >= q > 0, the first included.
+def _agm_steps(p: float, q: float) -> tuple[list[tuple[float, float]], float, float]:
+    """(iterates, limit, tail) of the AGM from (p, q), p >= q > 0.
 
-    Stops after the pair with p_n - q_n <= max(_STOP_ABS, _STOP_REL * p_n),
-    or with a difference that stopped shrinking; raises after _MAX_STEPS steps.
+    The iterates (p_n, q_n) run from the first pair to the last, whose mean
+    (p_N + q_N)/2 is the limit M(p, q); tail = sum_(n>=1) 2^(n-1) c_n^2 is
+    Gauss's sum over them, c_(n+1) = (p_n - q_n)/2.  The walk stops after
+    the pair with p_n - q_n <= max(_STOP_ABS, _STOP_REL * p_n), or with a
+    difference that stopped shrinking; it raises after _MAX_STEPS steps.
     """
+    steps = []
+    weight = 0.5
+    tail = 0.0
     prev_diff = math.inf
-    for _ in range(_MAX_STEPS + 1):
-        yield p, q
+    while True:
+        steps.append((p, q))
         diff = p - q
+        c = 0.5 * diff
+        weight *= 2.0
+        tail += weight * c * c
         if diff <= _STOP_ABS or diff <= _STOP_REL * p or diff >= prev_diff:
-            return
+            return steps, 0.5 * (p + q), tail
+        if len(steps) > _MAX_STEPS:
+            raise ConvergenceError(f"agm failed to converge within {_MAX_STEPS} iterations")
         prev_diff = diff
         p, q = 0.5 * (p + q), math.sqrt(p * q)
         if q > p:  # sub-ulp rounding at convergence can invert the means
             q = p
-    raise ConvergenceError(f"agm failed to converge within {_MAX_STEPS} iterations")
 
 
 def agm(p0: float, q0: float) -> AgmSequence:
@@ -117,52 +126,48 @@ def agm(p0: float, q0: float) -> AgmSequence:
     p, q = math.ldexp(p0, -e), math.ldexp(q0, -e)
     if q < sys.float_info.min:
         raise DomainError(f"agm requires q0/p0 in the normal range, got p0={p0!r}, q0={q0!r}")
-    scaled = tuple(_agm_steps(p, q))
-    p, q = scaled[-1]
-    return AgmSequence(
-        p0=p0,
-        q0=q0,
-        iterates=tuple((math.ldexp(pn, e), math.ldexp(qn, e)) for pn, qn in scaled),
-        limit=math.ldexp(0.5 * (p + q), e),
-        iterations=len(scaled) - 1,
-        swapped=swapped,
-    )
+    scaled, limit, _ = _agm_steps(p, q)
+    iterates = tuple([(math.ldexp(pn, e), math.ldexp(qn, e)) for pn, qn in scaled])
+    return AgmSequence(p0, q0, iterates, math.ldexp(limit, e), len(scaled) - 1, swapped)
 
 
-def _amplitude_step(phi: float, a: float, b: float) -> float:
-    """phi_(n+1) = phi_n + arctan((b/a) tan(phi_n)) on the continuous branch.
+def _amplitude_walk(phi: float, steps: list[tuple[float, float]]) -> tuple[float, float]:
+    """(phi_N, sum_(n>=1) c_n sin(phi_n)) over the AGM iterates (a_n, b_n),
+    with c_(n+1) = (a_n - b_n)/2 and the amplitude step
+    phi_(n+1) = phi_n + arctan((b_n/a_n) tan(phi_n)) on the continuous branch.
 
-    Taken as 2 phi - d with tan(d) = (a - b) sin(phi) cos(phi) / (a cos^2(phi)
-    + b sin^2(phi)): the denominator is a sum of positive terms, so d needs
-    no branch and nothing cancels as b/a -> 0 at phi -> pi/2.
+    The step is taken as 2 phi - d with tan(d) = (a - b) sin(phi) cos(phi) /
+    (a cos^2(phi) + b sin^2(phi)): the denominator is a sum of positive
+    terms, so d needs no branch and nothing cancels as b/a -> 0 at
+    phi -> pi/2.  Each amplitude's sine serves both its sum term and the
+    next step.
     """
-    s, c = math.sin(phi), math.cos(phi)
-    return 2.0 * phi - math.atan2((a - b) * s * c, a * c * c + b * s * s)
+    sines = 0.0
+    s = math.sin(phi)
+    for a, b in steps:
+        c = math.cos(phi)
+        phi = 2.0 * phi - math.atan2((a - b) * s * c, a * c * c + b * s * s)
+        s = math.sin(phi)
+        sines += 0.5 * (a - b) * s
+    return phi, sines
 
 
 def _legendre(kp: float, phi: float | None = None) -> tuple[float, float, float]:
     """(F, tail, sines) over the AGM iterates (a_n, b_n) of (1, k'), the last included.
 
-    With c_(n+1) = (a_n - b_n)/2 and phi_(n+1) the amplitude step,
-    tail = sum_(n>=1) 2^(n-1) c_n^2, sines = sum_(n>=1) c_n sin(phi_n) and
-    F = phi_N / (2^N a_N); phi None gives K = pi / (2 M(1, k')) and no
-    sines.  E = F (1 - k^2/2 - tail) + sines.  The walk takes k', not k, so
-    a caller that knows k' exactly, as (1 - k)/(1 + k) for the ascended
-    modulus, keeps it where k itself would round to 1.
+    tail = sum_(n>=1) 2^(n-1) c_n^2 comes with the iterates from
+    ``_agm_steps``, and phi_N and sines = sum_(n>=1) c_n sin(phi_n) from
+    ``_amplitude_walk``; F = phi_N / (2^N a_N).  phi None gives
+    K = pi / (2 M(1, k')) and no sines.  E = F (1 - k^2/2 - tail) + sines.
+    The walk takes k', not k, so a caller that knows k' exactly, as
+    (1 - k)/(1 + k) for the ascended modulus, keeps it where k itself would
+    round to 1.
     """
-    weight = 0.5
-    tail = sines = 0.0
-    for a, b in _agm_steps(1.0, kp):
-        c = 0.5 * (a - b)
-        weight *= 2.0
-        tail += weight * c * c
-        if phi is not None:
-            phi = _amplitude_step(phi, a, b)
-            sines += c * math.sin(phi)
-    limit = 0.5 * (a + b)
+    steps, limit, tail = _agm_steps(1.0, kp)
     if phi is None:
-        return 0.5 * math.pi / limit, tail, sines
-    return phi / (2.0 * weight * limit), tail, sines
+        return 0.5 * math.pi / limit, tail, 0.0
+    phi, sines = _amplitude_walk(phi, steps)
+    return phi / math.ldexp(limit, len(steps)), tail, sines
 
 
 def _second_kind(k: float, phi: float | None = None) -> tuple[float, float]:
@@ -250,25 +255,22 @@ def series_truncation_bound(kind: str, k: float, terms: int) -> float:
     return 0.5 * math.pi * first_omitted / (1.0 - k * k)
 
 
+_LEMNISCATE_M = _agm_steps(math.sqrt(2.0), 1.0)[1]  # M(1, sqrt(2)), walked once at import
+
+
 def lemniscate(radius: float) -> LemniscateArcs:
     """Arc lengths of the lemniscate (x^2+y^2)^2 = R^2 (x^2-y^2).
 
     quarter_arc = (R/sqrt(2)) K(1/sqrt(2)) = pi R / (2 M(1, sqrt(2)));
     full_arc = 4 quarter_arc; gauss_constant = 1/M(1, sqrt(2)), so one AGM
-    run gives all three.  The quarter arc is formed first, so it stays
-    finite for every radius whose full arc does; a full arc that overflows
-    raises DomainError.
+    run, taken once at import, gives all three.  The quarter arc is formed
+    first, so it stays finite for every radius whose full arc does; a full
+    arc that overflows raises DomainError.
     """
     if not 0.0 < radius < math.inf:
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
-    *_, (p, q) = _agm_steps(math.sqrt(2.0), 1.0)
-    limit = 0.5 * (p + q)
-    quarter_arc = 0.5 * math.pi * radius / limit
+    quarter_arc = 0.5 * math.pi * radius / _LEMNISCATE_M
     full_arc = 4.0 * quarter_arc
     if full_arc == math.inf:
         raise DomainError(f"the full arc overflows at radius {radius!r}")
-    return LemniscateArcs(
-        quarter_arc=quarter_arc,
-        full_arc=full_arc,
-        gauss_constant=1.0 / limit,
-    )
+    return LemniscateArcs(quarter_arc, full_arc, 1.0 / _LEMNISCATE_M)

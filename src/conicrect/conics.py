@@ -84,8 +84,12 @@ class Ellipse(_Conic):
 
     @property
     def g(self) -> float:
-        """Squared eccentricity (a^2 - b^2)/a^2 when a >= b."""
-        return (self.a - self.b) * (self.a + self.b) / (self.a * self.a)
+        """Squared eccentricity (a^2 - b^2)/a^2 when a >= b; a^2 that
+        underflows to 0 is a DomainError."""
+        a2 = self.a * self.a
+        if a2 == 0.0:
+            raise DomainError(f"a^2 underflows, got a={self.a!r}, b={self.b!r}")
+        return (self.a - self.b) * (self.a + self.b) / a2
 
     @property
     def eccentricity(self) -> float:
@@ -150,10 +154,13 @@ def _branch_root(H: Hyperbola, p: float) -> float:
     branch parameter at pedal distance p; formed without p^2, which
     underflows long before sqrt(s) overflows.  A root that overflows, or
     that is NaN because a^2 - p^2 and p sqrt(a^2 + b^2) both do, is a
-    DomainError."""
+    DomainError, as is a denominator p sqrt(a^2 + b^2) that underflows to 0."""
     _check_pedal(H, p)
     a, b = H.a, H.b
-    root = b * math.sqrt((a - p) * (a + p)) / (p * H.focal_distance)
+    den = p * H.focal_distance
+    if den == 0.0:
+        raise DomainError(f"p sqrt(a^2 + b^2) underflows at a={a!r}, b={b!r}, pedal distance {p!r}")
+    root = b * math.sqrt((a - p) * (a + p)) / den
     if not root < math.inf:
         raise DomainError(f"the branch point overflows at a={a!r}, b={b!r}, pedal distance {p!r}")
     return root
@@ -232,8 +239,11 @@ def abscissae_from_tangent(pair: LandenPair, t: float) -> tuple[float, float]:
     rad = max((m - n - t) * (m - n + t) * (m + n - t) * (m + n + t), 0.0)
     root = math.sqrt(rad)
     s = t * t + gm2 + root
+    gs = g * s
+    if gs == 0.0:
+        raise DomainError(f"g s underflows, got m={m!r}, n={n!r}, t={t!r}")
     # (t^2 + gm^2 - root)/(2g) rationalizes to 2 m^2 t^2 / (g s)
-    x2_minus = 2.0 * m * m * t * t / (g * s)
+    x2_minus = 2.0 * m * m * t * t / gs
     x2_plus = 0.5 * s / g
     return math.sqrt(x2_minus), math.sqrt(min(x2_plus, m * m))
 
@@ -292,7 +302,10 @@ def excess_infinity_closed(H: Hyperbola) -> float:
     if kp == 0.0:
         raise DomainError(f"b/a underflows, got a={H.a!r}, b={H.b!r}")
     K, tail, _ = _legendre(kp)
-    return c * K * (0.5 * k * k - tail)
+    excess = c * K * (0.5 * k * k - tail)
+    if not math.isfinite(excess):  # c K overflows, and the bracket may underflow to 0
+        raise DomainError(f"c K (k^2/2 - tail) overflows, got a={H.a!r}, b={H.b!r}")
+    return excess
 
 
 _SERIES_COEFFS = (0.5, -3.0 / 16.0, 15.0 / 128.0, -175.0 / 2048.0)

@@ -15,7 +15,7 @@ import sys
 from typing import NamedTuple
 
 from .agm import (
-    _amplitude_step, _check_amplitude, _check_modulus, _legendre, _second_kind, complete_E,
+    _amplitude_walk, _check_amplitude, _check_modulus, _legendre, _second_kind, complete_E,
     incomplete_F,
 )
 from .errors import DomainError
@@ -115,7 +115,7 @@ def amplitude_map(phi_hat: float, k: float) -> float:
     """
     _check_amplitude(phi_hat)
     _check_modulus(k)
-    return _amplitude_step(phi_hat, 1.0 + k, 1.0 - k)
+    return _amplitude_walk(phi_hat, [(1.0 + k, 1.0 - k)])[0]
 
 
 def amplitude_inverse(phi: float, k: float) -> float:

@@ -358,3 +358,19 @@ def test_overflowing_series_is_a_domain_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("domain error:") and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # c K overflows where k^2/2 - tail underflows: the value was nan
+        ["excess", "closed", "--a", "7.45e-122", "--b", "1.7e308"],
+        # the inner ellipse's a^2 underflows: a ZeroDivisionError traceback
+        ["check", "landen-theorem", "--m", "1e-300", "--n", "5e-301", "--t", "1e-301"],
+        ["check", "fagnano", "--m", "1e-300", "--n", "5e-301", "--t", "1e-301"],
+    ],
+)
+def test_unrepresentable_intermediate_is_a_domain_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("domain error:") and captured.out == ""

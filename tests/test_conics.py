@@ -334,6 +334,11 @@ class TestHyperbolaArc:
         arcs = [hyperbola_arc(H, p) for p in (1.0, 0.8, 0.5, 0.2, 0.05)]
         assert all(s0 < s1 for s0, s1 in zip(arcs, arcs[1:]))
 
+    def test_underflowing_denominator_is_a_domain_error(self):
+        # p sqrt(a^2 + b^2) underflows to 0, which divided by zero
+        with pytest.raises(DomainError):
+            hyperbola_arc(Hyperbola(1e-200, 2e-200), 5e-201)
+
 
 class TestExcess:
     def test_finite_vertex(self):
@@ -372,6 +377,11 @@ class TestExcess:
     def test_closed_ratio_underflow(self):
         with pytest.raises(DomainError):
             excess_infinity_closed(Hyperbola(1e300, 1e-300))
+
+    def test_closed_overflow_is_a_domain_error(self):
+        # c K overflows while k^2/2 - tail underflows to 0: inf * 0 was a NaN
+        with pytest.raises(DomainError):
+            excess_infinity_closed(Hyperbola(7.45e-122, 1.7e308))
 
     def test_series_example(self):
         val = excess_infinity_series(Hyperbola(0.1, 1.0), 3)
@@ -459,6 +469,19 @@ class TestLandenTheorem:
     def test_domain(self):
         with pytest.raises(DomainError):
             landen_theorem_check(LandenPair(2.0, 1.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "m,n,t",
+        [
+            (1e-300, 5e-301, 1e-301),  # the inner ellipse's a^2 underflows to 0
+            (1.6120967570397818e-162, 4.995760828732668e-163, 4.0930296280814964e-163),  # g s does
+        ],
+    )
+    def test_underflowing_denominator_is_a_domain_error(self, m, n, t):
+        # each divided by zero; fagnano_check takes the same angles
+        for check in (landen_theorem_check, fagnano_check):
+            with pytest.raises(DomainError):
+                check(LandenPair(m, n), t)
 
 
 class TestFagnano:

@@ -13,6 +13,7 @@ test suite.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .agm import _legendre, complete_E, incomplete_E
@@ -84,12 +85,14 @@ class Ellipse(_Conic):
 
     @property
     def g(self) -> float:
-        """Squared eccentricity (a^2 - b^2)/a^2 when a >= b; a^2 that
-        underflows to 0 is a DomainError."""
-        a2 = self.a * self.a
-        if a2 == 0.0:
-            raise DomainError(f"a^2 underflows, got a={self.a!r}, b={self.b!r}")
-        return (self.a - self.b) * (self.a + self.b) / a2
+        """Squared eccentricity (a^2 - b^2)/a^2 when a >= b; an a^2 that is not
+        a normal double, or a g that is not finite, is a DomainError."""
+        a, b = self.a, self.b
+        a2 = a * a
+        g = (a - b) * (a + b) / a2 if sys.float_info.min <= a2 < math.inf else math.nan
+        if not abs(g) < math.inf:
+            raise DomainError(f"a^2 or g is out of range, got a={a!r}, b={b!r}")
+        return g
 
     @property
     def eccentricity(self) -> float:
@@ -171,10 +174,13 @@ def hyperbola_point_from_pedal(H: Hyperbola, p: float) -> tuple[float, float]:
 
     The pedal equation 1/p^2 = x^2/a^4 + y^2/b^4 is monotone along the
     branch and solves in closed form: with s = b^2 (a^2 - p^2)/(p^2 (a^2+b^2)),
-    the point is (a sqrt(1+s), b sqrt(s)).
+    the point is (a sqrt(1+s), b sqrt(s)); one that overflows is a DomainError.
     """
     root = _branch_root(H, p)
-    return H.a * math.hypot(1.0, root), H.b * root
+    x, y = H.a * math.hypot(1.0, root), H.b * root
+    if not max(x, y) < math.inf:
+        raise DomainError(f"the branch point overflows at a={H.a!r}, b={H.b!r}, pedal distance {p!r}")
+    return x, y
 
 
 def hyperbola_tangent_length(H: Hyperbola, p: float) -> float:
@@ -210,7 +216,8 @@ def ellipse_tangent_length(E: Ellipse, x: float) -> float:
     """Pedal tangent segment of the ellipse at abscissa x.
 
     t = g x sqrt((a^2 - x^2)/(a^2 - g x^2)); zero at both x = 0 and x = a,
-    with global maximum a - b at x^2 = a^3/(a + b).
+    with global maximum a - b at x^2 = a^3/(a + b).  The zero at x = a is
+    returned as such where g rounds to 1 and the quotient is 0/0.
     """
     if E.a < E.b:
         raise DomainError("tangent length defined for a >= b; swap the axes")
@@ -219,33 +226,52 @@ def ellipse_tangent_length(E: Ellipse, x: float) -> float:
     g = E.g
     a2 = E.a * E.a
     num = max(a2 - x * x, 0.0)
-    return g * x * math.sqrt(num / (a2 - g * x * x))
+    den = a2 - g * x * x  # g <= 1, so den is 0 only where num is
+    return g * x * math.sqrt(num / den) if den else 0.0
 
 
 def abscissae_from_tangent(pair: LandenPair, t: float) -> tuple[float, float]:
-    """The two inner-ellipse abscissae sharing pedal tangent length t.
-
-    Roots of 2 g x^2 = t^2 + g m^2 -/+ sqrt(((m-n)^2 - t^2)((m+n)^2 - t^2)),
-    returned as (x_minus, x_plus); they coincide at t = m - n.  The smaller
-    root is evaluated in rationalized form to stay accurate near t = 0.
-    """
+    """The two inner-ellipse abscissae (x_minus, x_plus) sharing pedal tangent
+    length t in [0, m - n]; they coincide at t = m - n."""
     m, n = pair.m, pair.n
     if not 0.0 <= t <= (m - n) * (1.0 + 1e-12):
-        raise DomainError(
-            f"tangent length must lie in [0, m-n] = [0, {m - n!r}], got {t!r}"
-        )
+        raise DomainError(f"tangent length must lie in [0, m-n] = [0, {m - n!r}], got {t!r}")
+    return _abscissae(pair, t)
+
+
+def _abscissae(pair: LandenPair, t: float) -> tuple[float, float]:
+    """Roots of 2 g x^2 = t^2 + g m^2 -/+ sqrt(((m-n)^2 - t^2)((m+n)^2 - t^2))
+    for a t already checked; the smaller root is evaluated in rationalized
+    form to stay accurate near t = 0.  A g s that underflows to 0, or that is
+    not finite because the radicand overflows, is a DomainError."""
+    m, n = pair.m, pair.n
     g = pair.ellipse_inner.g
     gm2 = g * m * m
     rad = max((m - n - t) * (m - n + t) * (m + n - t) * (m + n + t), 0.0)
     root = math.sqrt(rad)
     s = t * t + gm2 + root
     gs = g * s
-    if gs == 0.0:
-        raise DomainError(f"g s underflows, got m={m!r}, n={n!r}, t={t!r}")
+    if not 0.0 < gs < math.inf:
+        raise DomainError(f"g s underflows or overflows, got m={m!r}, n={n!r}, t={t!r}")
     # (t^2 + gm^2 - root)/(2g) rationalizes to 2 m^2 t^2 / (g s)
     x2_minus = 2.0 * m * m * t * t / gs
     x2_plus = 0.5 * s / g
     return math.sqrt(x2_minus), math.sqrt(min(x2_plus, m * m))
+
+
+def _tangent_point(pair: LandenPair, t: float) -> tuple[float, float, float]:
+    """The hyperbola point and the two inner-ellipse abscissae x- <= x+ whose
+    tangent length is t, for t strictly inside (0, m - n): the point as its
+    pedal distance p = sqrt((m-n)^2 - t^2), returned as (p, x-, x+)."""
+    m, n = pair.m, pair.n
+    if not 0.0 < t < m - n:
+        raise DomainError(f"t must lie in (0, m-n) = (0, {m - n!r}), got {t!r}")
+    return (math.sqrt((m - n - t) * (m - n + t)), *_abscissae(pair, t))
+
+
+def _angle(a: float, x: float) -> float:
+    """theta with x = a sin(theta), for an abscissa x in [0, a (1 + 1e-12)]."""
+    return math.asin(min(x / a, 1.0))
 
 
 def ellipse_arc(E: Ellipse, x0: float, x1: float) -> float:
@@ -259,9 +285,7 @@ def ellipse_arc(E: Ellipse, x0: float, x1: float) -> float:
             f"need 0 <= x0 <= x1 <= a = {E.a!r}, got x0={x0!r}, x1={x1!r}"
         )
     ecc = E.eccentricity
-    phi0 = math.asin(min(x0 / E.a, 1.0))
-    phi1 = math.asin(min(x1 / E.a, 1.0))
-    return E.a * (incomplete_E(phi1, ecc) - incomplete_E(phi0, ecc))
+    return E.a * (incomplete_E(_angle(E.a, x1), ecc) - incomplete_E(_angle(E.a, x0), ecc))
 
 
 def excess_finite(H: Hyperbola, p: float) -> float:
@@ -382,28 +406,6 @@ def _eta1_integrand(pair: LandenPair):
     return f
 
 
-def _check_tangent(pair: LandenPair, t: float) -> None:
-    if not 0.0 < t < pair.m - pair.n:
-        raise DomainError(f"t must lie in (0, m-n) = (0, {pair.m - pair.n!r}), got {t!r}")
-
-
-def _tangent_pedal(pair: LandenPair, t: float) -> float:
-    """Pedal distance p = sqrt((m-n)^2 - t^2) of the hyperbola point whose
-    tangent length is t, for t strictly inside (0, m - n)."""
-    _check_tangent(pair, t)
-    m, n = pair.m, pair.n
-    return math.sqrt((m - n - t) * (m - n + t))
-
-
-def _tangent_angles(pair: LandenPair, t: float) -> tuple[float, float]:
-    """Angles asin(x/m) of the two inner-ellipse abscissae x- <= x+ whose
-    tangent length is t, for t strictly inside (0, m - n)."""
-    _check_tangent(pair, t)
-    m = pair.m
-    x_minus, x_plus = abscissae_from_tangent(pair, t)
-    return math.asin(min(x_minus / m, 1.0)), math.asin(min(x_plus / m, 1.0))
-
-
 def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, ResidualReport]:
     """Verify Hyp = t_Hyp + 2t + eta1 - 4 eta2 with all arcs from the oracle.
 
@@ -412,13 +414,13 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     to the smaller abscissa sharing tangent length t, in the angle form that
     fagnano_check also integrates.
     """
-    theta_minus, _ = _tangent_angles(pair, t)
+    p, x_minus, _ = _tangent_point(pair, t)
     H = pair.hyperbola
-    p = _tangent_pedal(pair, t)
     t_hyp = hyperbola_tangent_length(H, p)
     hyp_arc = hyperbola_arc(H, p)
     eta1 = integrate(_eta1_integrand(pair), 0.0, t).value
-    eta2 = integrate(_ellipse_arc_theta_integrand(pair.ellipse_inner), 0.0, theta_minus).value
+    ds = _ellipse_arc_theta_integrand(pair.ellipse_inner)
+    eta2 = integrate(ds, 0.0, _angle(pair.m, x_minus)).value
     breakdown = ExcessBreakdown(hyp_arc=hyp_arc, t_hyp=t_hyp, t=t, eta1=eta1, eta2=eta2)
     report = ResidualReport(
         "landen-theorem",
@@ -450,10 +452,10 @@ def fagnano_check(pair: LandenPair, t: float) -> ResidualReport:
     t -> m - n the points coincide at the maximal-tangent point.  Both arcs
     come from the oracle on the angle form of the arc differential.
     """
-    theta_minus, theta_plus = _tangent_angles(pair, t)
+    _, x_minus, x_plus = _tangent_point(pair, t)
     ds = _ellipse_arc_theta_integrand(pair.ellipse_inner)
-    lhs = integrate(ds, 0.0, theta_minus).value
-    rhs = t + integrate(ds, theta_plus, 0.5 * math.pi).value
+    lhs = integrate(ds, 0.0, _angle(pair.m, x_minus)).value
+    rhs = t + integrate(ds, _angle(pair.m, x_plus), 0.5 * math.pi).value
     return ResidualReport("fagnano", {"m": pair.m, "n": pair.n, "t": t}, lhs, rhs)
 
 

@@ -14,13 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .conics import (
-    LandenPair,
-    _tangent_pedal,
-    abscissae_from_tangent,
-    ellipse_tangent_length,
-    hyperbola_point_from_pedal,
-)
+from .conics import LandenPair, _tangent_point, ellipse_tangent_length, hyperbola_point_from_pedal
 from .errors import DomainError
 
 __all__ = ["ConstructionPoints", "construction_points", "validate_points", "render_svg"]
@@ -49,13 +43,12 @@ class ConstructionPoints(NamedTuple):
 
 def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:
     """Solve every point of the figure from (m, n, t) alone."""
-    p = _tangent_pedal(pair, t)
+    p, x_e, _ = _tangent_point(pair, t)
     m, n = pair.m, pair.n
     hyp = pair.hyperbola
     a, b = hyp.a, hyp.b
     # inner-ellipse point sharing the tangent length, and the foot of the
     # center perpendicular onto its tangent line
-    x_e, _ = abscissae_from_tangent(pair, t)
     y_e = n * math.sqrt(max(1.0 - (x_e / m) ** 2, 0.0))
     nu = (x_e / (m * m), y_e / (n * n))
     nu2 = nu[0] * nu[0] + nu[1] * nu[1]

@@ -368,9 +368,26 @@ def test_overflowing_series_is_a_domain_error(capsys, argv):
         # the inner ellipse's a^2 underflows: a ZeroDivisionError traceback
         ["check", "landen-theorem", "--m", "1e-300", "--n", "5e-301", "--t", "1e-301"],
         ["check", "fagnano", "--m", "1e-300", "--n", "5e-301", "--t", "1e-301"],
+        # a^2 is subnormal: g was 0.0, and the check printed a wrong PASS
+        ["check", "fagnano", "--m", "1.6e-161", "--n", "5e-162", "--t", "4e-162"],
+        # a^2 overflows: g was 0.0, and a ZeroDivisionError traceback followed
+        ["check", "fagnano", "--m", "1e+160", "--n", "9.999999999992951e+159", "--t", "4.73225274578919e+147"],
+        [
+            "check", "landen-theorem", "--m", "3.020504872450423e+154",
+            "--n", "3.0205048724504216e+154", "--t", "4.379211765587606e-115",
+        ],
     ],
 )
 def test_unrepresentable_intermediate_is_a_domain_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("domain error:") and captured.out == ""
+
+
+def test_tangent_length_table_reaches_the_major_vertex(capsys):
+    # g rounds to 1 at n/m = 1e-9, so the length at x = a was 0/0, a traceback
+    argv = "table --op tangent-length --sweep x --from 0 --to 1 --step 0.5 --m 1 --n 1e-9".split()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "1.0,1.0,1e-09,0.0"

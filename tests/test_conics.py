@@ -79,6 +79,23 @@ class TestTypes:
         assert E.eccentricity == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-15)
         assert Ellipse(1.0, 1.0).g == 0.0
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (1.6120967570397818e-162, 4.995760828732668e-163),  # a^2 is subnormal: g was 0.0, not 0.904
+            (1.4e154, 7e153),  # a^2 overflows: g was 0.0
+            (1e160, 5e159),  # and here nan
+            (1e-100, 1e300),  # (a - b)(a + b) overflows: g was -inf
+        ],
+    )
+    def test_ellipse_g_out_of_range_is_a_domain_error(self, a, b):
+        with pytest.raises(DomainError):
+            Ellipse(a, b).g
+
+    def test_ellipse_g_keeps_its_bits_where_a_squared_is_normal(self):
+        for a, b in ((1.5e-154, 1e-154), (1.3e154, 1e154), (2.0, 1.0), (1e-100, 1e-50)):
+            assert Ellipse(a, b).g == (a - b) * (a + b) / (a * a)
+
     def test_landen_pair_derived(self):
         pair = LandenPair(2.0, 1.0)
         assert (pair.hyperbola.a, pair.hyperbola.b) == (1.0, SQRT8)
@@ -184,6 +201,14 @@ class TestPedal:
         for a, b in ((1e154, 1.3e154), (1.3e154, 1e154)):
             with pytest.raises(DomainError, match="overflows"):
                 excess_finite(Hyperbola(a, b), 5e153)
+        # the branch root is finite, and a sqrt(1 + s) and b sqrt(s) overflow:
+        # the point was (inf, inf), and (376.2, inf)
+        for H, p in (
+            (Hyperbola(1.915749718712394e140, 1.6009030976443032e138), 3.242004666924486e-158),
+            (Hyperbola(1.9768470600678305e-79, 2.1481343323265093e236), 1.0388012145488285e-160),
+        ):
+            with pytest.raises(DomainError, match="overflows"):
+                hyperbola_point_from_pedal(H, p)
         # the branch point itself is still representable there
         assert hyperbola_point_from_pedal(Hyperbola(1e154, 1.3e154), 5e153) == pytest.approx(
             (1.6984576427783728e154, 1.7847245265552134e154), rel=1e-15, abs=0.0
@@ -233,6 +258,13 @@ class TestTangentLength:
 
     def test_circle(self):
         assert ellipse_tangent_length(Ellipse(1.5, 1.5), 0.7) == 0.0
+
+    def test_major_vertex_where_g_rounds_to_one(self):
+        # a^2 - x^2 and a^2 - g x^2 are both 0: the 0/0 raised ZeroDivisionError
+        E = Ellipse(1.0, 1e-9)
+        assert E.g == 1.0
+        assert ellipse_tangent_length(E, 1.0) == 0.0
+        assert ellipse_tangent_length(E, 0.5) == 0.5
 
     def test_domain(self):
         for bad in (-0.1, 2.1, math.nan, math.inf, -math.inf):
@@ -284,6 +316,17 @@ class TestAbscissae:
         for bad in (1.01, -0.1, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 abscissae_from_tangent(LandenPair(2.0, 1.0), bad)
+
+    @pytest.mark.parametrize(
+        "m,n,t",
+        [
+            (1e154, 7.143588580224836e153, 6.144312542633946e152),  # the radicand overflows: x_minus was nan
+            (1.5e-154, 1.4999999999999985e-154, 8.280421605278095e-170),  # g s underflows to 0
+        ],
+    )
+    def test_g_s_out_of_range_is_a_domain_error(self, m, n, t):
+        with pytest.raises(DomainError, match="g s"):
+            abscissae_from_tangent(LandenPair(m, n), t)
 
 
 class TestEllipseArc:
@@ -474,7 +517,7 @@ class TestLandenTheorem:
         "m,n,t",
         [
             (1e-300, 5e-301, 1e-301),  # the inner ellipse's a^2 underflows to 0
-            (1.6120967570397818e-162, 4.995760828732668e-163, 4.0930296280814964e-163),  # g s does
+            (1.6120967570397818e-162, 4.995760828732668e-163, 4.0930296280814964e-163),  # to a subnormal
         ],
     )
     def test_underflowing_denominator_is_a_domain_error(self, m, n, t):

@@ -23,6 +23,7 @@ ALLOWED = {
     "maclaurin_excess_integrand": "integrated in q against excess_finite",
     "series_truncation_bound": "bounds the truncation of series_KE",
     "excess_series_remainder_bound": "bounds the truncation of excess_infinity_series",
+    "abscissae_from_tangent": "the closed-range form of the solve that the open-range routes share",
 }
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "incomplete_F",
     "incomplete_E",
     "series_KE",
-    "series_truncation_bound",
     "lemniscate",
 ]
 
@@ -219,40 +218,25 @@ def incomplete_E(phi: float, k: float) -> float:
     return _second_kind(k, phi)[0]
 
 
-def _series_terms(kind: str, k: float, terms: int) -> list[float]:
-    """The terms c_n k^(2n), over (1 - 2n) for E, for n = 0 .. min(terms, 200):
-    the series truncated at ``terms`` and its first omitted term."""
+def series_KE(kind: str, k: float, terms: int) -> float:
+    """Truncated hypergeometric series for K or E.
+
+    K: (pi/2) * sum c_n k^(2n),  E: (pi/2) * sum c_n k^(2n) / (1 - 2n), with
+    c_n = [(2n)! / (2^(2n) (n!)^2)]^2, for n = 0 .. terms - 1.  ``terms`` is
+    capped at 200.
+    """
     if kind not in ("K", "E"):
         raise DomainError(f"kind must be 'K' or 'E', got {kind!r}")
     if not (isinstance(terms, int) and terms >= 1):
         raise DomainError(f"terms must be an integer of at least 1, got {terms!r}")
     _check_modulus(k)
     m = k * k
-    coeff = 1.0
-    out = [1.0]
-    for n in range(1, min(terms, _SERIES_TERM_CAP) + 1):
+    coeff = total = 1.0
+    for n in range(1, min(terms, _SERIES_TERM_CAP)):
         ratio = (2.0 * n - 1.0) / (2.0 * n)
         coeff *= ratio * ratio * m
-        out.append(coeff if kind == "K" else coeff / (1.0 - 2.0 * n))
-    return out
-
-
-def series_KE(kind: str, k: float, terms: int) -> float:
-    """Truncated hypergeometric series for K or E.
-
-    K: (pi/2) * sum c_n k^(2n),  E: (pi/2) * sum c_n k^(2n) / (1 - 2n), with
-    c_n = [(2n)! / (2^(2n) (n!)^2)]^2.  ``terms`` is capped at 200.
-    """
-    total = 0.0
-    for term in _series_terms(kind, k, terms)[:-1]:
-        total += term
+        total += coeff if kind == "K" else coeff / (1.0 - 2.0 * n)
     return 0.5 * math.pi * total
-
-
-def series_truncation_bound(kind: str, k: float, terms: int) -> float:
-    """Bound on the truncation error: |first omitted term| / (1 - k^2)."""
-    first_omitted = abs(_series_terms(kind, k, terms)[-1])
-    return 0.5 * math.pi * first_omitted / (1.0 - k * k)
 
 
 _LEMNISCATE_M = _agm_steps(math.sqrt(2.0), 1.0)[1]  # M(1, sqrt(2)), walked once at import

@@ -31,17 +31,14 @@ __all__ = [
     "hyperbola_tangent_length",
     "hyperbola_arc",
     "ellipse_tangent_length",
-    "abscissae_from_tangent",
     "ellipse_arc",
     "excess_finite",
     "excess_infinity_closed",
     "excess_infinity_series",
-    "excess_series_remainder_bound",
     "excess_infinity_landen",
     "landen_theorem_check",
     "fagnano_check",
     "simpson_arc",
-    "maclaurin_excess_integrand",
 ]
 
 
@@ -230,15 +227,6 @@ def ellipse_tangent_length(E: Ellipse, x: float) -> float:
     return g * x * math.sqrt(num / den) if den else 0.0
 
 
-def abscissae_from_tangent(pair: LandenPair, t: float) -> tuple[float, float]:
-    """The two inner-ellipse abscissae (x_minus, x_plus) sharing pedal tangent
-    length t in [0, m - n]; they coincide at t = m - n."""
-    m, n = pair.m, pair.n
-    if not 0.0 <= t <= (m - n) * (1.0 + 1e-12):
-        raise DomainError(f"tangent length must lie in [0, m-n] = [0, {m - n!r}], got {t!r}")
-    return _abscissae(pair, t)
-
-
 def _abscissae(pair: LandenPair, t: float) -> tuple[float, float]:
     """Roots of 2 g x^2 = t^2 + g m^2 -/+ sqrt(((m-n)^2 - t^2)((m+n)^2 - t^2))
     for a t already checked; the smaller root is evaluated in rationalized
@@ -332,25 +320,7 @@ def excess_infinity_closed(H: Hyperbola) -> float:
     return excess
 
 
-_SERIES_COEFFS = (0.5, -3.0 / 16.0, 15.0 / 128.0, -175.0 / 2048.0)
-
-
-def _excess_series(H: Hyperbola, terms: int) -> tuple[float, float]:
-    """Prefactor pi a^2 / 2b and ratio (a/b)^2 of the flat-hyperbola series,
-    whose first ``terms`` terms, 1 to 3, are available.  A prefactor, power
-    of the ratio or sum of the series that is not finite is a DomainError."""
-    if not (isinstance(terms, int) and 1 <= terms <= 3):
-        raise DomainError(f"terms must be 1, 2, or 3, got {terms!r}")
-    prefactor = _finite_series(H, 0.5 * math.pi * H.a * H.a / H.b)
-    return prefactor, _finite_series(H, _power(H.a / H.b, 2))
-
-
-def _power(x: float, n: int) -> float:
-    """x ** n, or inf where float ** raises OverflowError."""
-    try:
-        return x**n
-    except OverflowError:
-        return math.inf
+_SERIES_COEFFS = (0.5, -3.0 / 16.0, 15.0 / 128.0)
 
 
 def _finite_series(H: Hyperbola, value: float) -> float:
@@ -364,22 +334,23 @@ def excess_infinity_series(H: Hyperbola, terms: int) -> float:
     """Flat-hyperbola expansion of the limit excess.
 
     (pi a^2 / 2b) (1/2 - 3(a/b)^2/16 + 15(a/b)^4/128 - ...), asymptotic in
-    a/b; at most three terms are available.
+    a/b; at most three terms are available.  A prefactor, ratio (a/b)^2 or
+    sum of the series that is not finite is a DomainError.
     """
-    prefactor, ratio = _excess_series(H, terms)
+    if not (isinstance(terms, int) and 1 <= terms <= 3):
+        raise DomainError(f"terms must be 1, 2, or 3, got {terms!r}")
+    prefactor = _finite_series(H, 0.5 * math.pi * H.a * H.a / H.b)
+    try:  # x ** 2, not x * x, for the series' bits; ** raises on overflow
+        ratio = (H.a / H.b) ** 2
+    except OverflowError:
+        ratio = math.inf
+    ratio = _finite_series(H, ratio)
     total = 0.0
     power = 1.0
     for j in range(terms):
         total += _SERIES_COEFFS[j] * power
         power *= ratio
     return _finite_series(H, prefactor * total)
-
-
-def excess_series_remainder_bound(H: Hyperbola, terms: int) -> float:
-    """Magnitude of the first omitted series term; bounds the truncation
-    error while the terms still decrease (a alternating series)."""
-    prefactor, ratio = _excess_series(H, terms)
-    return _finite_series(H, prefactor * abs(_SERIES_COEFFS[terms]) * _power(ratio, terms))
 
 
 def excess_infinity_landen(pair: LandenPair) -> float:
@@ -486,12 +457,3 @@ def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
 
     return integrate(g, math.sqrt(-math.log(u1)), math.sqrt(-math.log(u0))).value
 
-
-def maclaurin_excess_integrand(H: Hyperbola, p: float) -> float:
-    """Derivative of the finite excess with respect to the pedal distance:
-    -p^2 / sqrt((a^2 - p^2)(b^2 + p^2)); reduces to -p^2/sqrt(a^4 - p^4) on
-    the equilateral hyperbola."""
-    a, b = H.a, H.b
-    if not 0.0 < p < a:
-        raise DomainError(f"pedal distance must lie in (0, a) = (0, {a!r}), got {p!r}")
-    return -p * p / math.sqrt((a - p) * (a + p) * (b * b + p * p))

@@ -12,6 +12,7 @@ output is byte-stable for identical inputs.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .conics import LandenPair, _tangent_point, ellipse_tangent_length, hyperbola_point_from_pedal
@@ -41,6 +42,17 @@ class ConstructionPoints(NamedTuple):
         return {name: value for name, value in zip(self._fields, self) if name != "pedal_radius"}
 
 
+def _normal(pair: LandenPair, pt: tuple[float, float]) -> tuple[float, float]:
+    """(x/m^2, y/n^2), the inner ellipse's normal at pt, scaled so that the
+    tangent line there is nu . X = 1.  An n^2 that is not a normal double is
+    a DomainError; m > n, so m^2 underflows only where n^2 does."""
+    m, n = pair.m, pair.n
+    n2 = n * n
+    if not sys.float_info.min <= n2 < math.inf:
+        raise DomainError(f"n^2 is out of range, got m={m!r}, n={n!r}")
+    return pt[0] / (m * m), pt[1] / n2
+
+
 def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:
     """Solve every point of the figure from (m, n, t) alone."""
     p, x_e, _ = _tangent_point(pair, t)
@@ -50,7 +62,7 @@ def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:
     # inner-ellipse point sharing the tangent length, and the foot of the
     # center perpendicular onto its tangent line
     y_e = n * math.sqrt(max(1.0 - (x_e / m) ** 2, 0.0))
-    nu = (x_e / (m * m), y_e / (n * n))
+    nu = _normal(pair, (x_e, y_e))
     nu2 = nu[0] * nu[0] + nu[1] * nu[1]
     foot = (nu[0] / nu2, nu[1] / nu2)
     # right triangle over the diameter SA: |AK| = t forces |SK| = p
@@ -89,11 +101,11 @@ def validate_points(points: ConstructionPoints, pair: LandenPair, t: float) -> d
         return abs((pt[0] / m) ** 2 + (pt[1] / n) ** 2 - 1.0)
 
     x_e, y_e = points.E
-    nu = (x_e / (m * m), y_e / (n * n))
+    nu = _normal(pair, points.E)
     px, py = points.P
     kx, ky = points.K
     fx, fy = points.F
-    pedal_of_f = 1.0 / math.sqrt((fx / (a * a)) ** 2 + (fy / (b * b)) ** 2)
+    pedal_of_f = 1.0 / math.hypot(fx / (a * a), fy / (b * b))
     residuals = {
         "S": math.hypot(*points.S),
         "A": on_hyperbola(points.A) + abs(points.A[1]),

@@ -202,6 +202,28 @@ class TestConstructVerb:
         assert code == 2
         assert not out_path.exists()
 
+    def test_underflowing_n_squared_is_a_domain_error(self, capsys, tmp_path):
+        # n^2 underflows to 0: the normal y/n^2 was a ZeroDivisionError traceback
+        out_path = tmp_path / "figure.svg"
+        code = main([
+            "construct", "--m", "8.895287952202664e+44", "--n", "1.213308943571832e-277",
+            "--t", "6.047961620343681e+44", "--out", str(out_path),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("domain error: n^2") and captured.out == ""
+        assert not out_path.exists()
+
+    def test_subnormal_a_squared_still_validates(self, capsys, tmp_path):
+        # a = m - n = 1e-155, so a^2 is subnormal and (x/a^2)^2 overflowed in the
+        # check of F's pedal distance: an OverflowError traceback
+        out_path = tmp_path / "figure.svg"
+        code, _ = run(
+            capsys, "construct", "--m", "1.6e-154", "--n", "1.5e-154", "--t", "5e-156", "--out", str(out_path)
+        )
+        assert code == 0
+        assert 'id="pt-F"' in out_path.read_text()
+
 
 class TestOneRegistry:
     @pytest.mark.parametrize(

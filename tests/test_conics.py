@@ -12,7 +12,6 @@ from conicrect import (
     Ellipse,
     Hyperbola,
     LandenPair,
-    abscissae_from_tangent,
     complete_E,
     ellipse_arc,
     ellipse_tangent_length,
@@ -20,13 +19,11 @@ from conicrect import (
     excess_infinity_closed,
     excess_infinity_landen,
     excess_infinity_series,
-    excess_series_remainder_bound,
     fagnano_check,
     hyperbola_arc,
     hyperbola_point_from_pedal,
     integrate,
     landen_theorem_check,
-    maclaurin_excess_integrand,
     semiaxes_to_pair,
     simpson_arc,
 )
@@ -34,6 +31,19 @@ from conicrect import conics
 from conicrect.conics import hyperbola_tangent_length
 
 SQRT8 = 2.0 * math.sqrt(2.0)
+
+
+def maclaurin_integrand(H, p):
+    """Derivative of the finite excess with respect to the pedal distance,
+    -p^2 / sqrt((a - p)(a + p)(b^2 + p^2)) (test-side only)."""
+    a, b = H.a, H.b
+    return -p * p / math.sqrt((a - p) * (a + p) * (b * b + p * p))
+
+
+def series_remainder_bound(H):
+    """|fourth term| of the flat-hyperbola series, (pi a^2 / 2b) (175/2048) (a/b)^6,
+    which bounds the three-term series while its terms decrease (test-side only)."""
+    return 0.5 * math.pi * H.a * H.a / H.b * (175.0 / 2048.0) * ((H.a / H.b) ** 2) ** 3
 
 
 def pedal_radius(H, p):
@@ -283,11 +293,11 @@ class TestTangentLength:
 
 class TestAbscissae:
     def test_zero_tangent(self):
-        xm, xp = abscissae_from_tangent(LandenPair(2.0, 1.0), 0.0)
+        xm, xp = conics._abscissae(LandenPair(2.0, 1.0), 0.0)
         assert xm == 0.0 and xp == 2.0
 
     def test_double_root(self):
-        xm, xp = abscissae_from_tangent(LandenPair(2.0, 1.0), 1.0)
+        xm, xp = conics._abscissae(LandenPair(2.0, 1.0), 1.0)
         assert xm == pytest.approx(math.sqrt(8.0 / 3.0), rel=1e-14)
         assert xm == pytest.approx(xp, rel=1e-12)
 
@@ -295,7 +305,7 @@ class TestAbscissae:
         pair = LandenPair(2.0, 1.0)
         E = pair.ellipse_inner
         for t in (0.1, 0.5, 0.9, 0.999):
-            xm, xp = abscissae_from_tangent(pair, t)
+            xm, xp = conics._abscissae(pair, t)
             assert xm <= xp
             assert ellipse_tangent_length(E, xm) == pytest.approx(t, abs=1e-12)
             assert ellipse_tangent_length(E, xp) == pytest.approx(t, abs=1e-12)
@@ -304,7 +314,7 @@ class TestAbscissae:
         # near t = 0 the plus root sits within ~t^2 of the vertex, where one
         # ulp of x moves t by ~1e-9; the minus root stays fully conditioned
         pair = LandenPair(2.0, 1.0)
-        xm, xp = abscissae_from_tangent(pair, 1e-6)
+        xm, xp = conics._abscissae(pair, 1e-6)
         assert ellipse_tangent_length(pair.ellipse_inner, xm) == pytest.approx(
             1e-6, abs=1e-12
         )
@@ -313,9 +323,10 @@ class TestAbscissae:
         )
 
     def test_domain(self):
-        for bad in (1.01, -0.1, math.nan, math.inf, -math.inf):
+        # the solve that every route reads takes t in the open range (0, m - n)
+        for bad in (1.01, -0.1, math.nan, math.inf, -math.inf, 0.0, 1.0):
             with pytest.raises(DomainError):
-                abscissae_from_tangent(LandenPair(2.0, 1.0), bad)
+                conics._tangent_point(LandenPair(2.0, 1.0), bad)
 
     @pytest.mark.parametrize(
         "m,n,t",
@@ -326,7 +337,7 @@ class TestAbscissae:
     )
     def test_g_s_out_of_range_is_a_domain_error(self, m, n, t):
         with pytest.raises(DomainError, match="g s"):
-            abscissae_from_tangent(LandenPair(m, n), t)
+            conics._abscissae(LandenPair(m, n), t)
 
 
 class TestEllipseArc:
@@ -433,7 +444,7 @@ class TestExcess:
             rel=1e-14,
         )
         closed = excess_infinity_closed(Hyperbola(0.1, 1.0))
-        assert abs(val - closed) <= excess_series_remainder_bound(Hyperbola(0.1, 1.0), 3)
+        assert abs(val - closed) <= series_remainder_bound(Hyperbola(0.1, 1.0))
 
     def test_series_vanishes_with_a(self):
         assert excess_infinity_series(Hyperbola(1e-8, 1.0), 3) < 1e-15
@@ -444,15 +455,9 @@ class TestExcess:
 
     def test_series_domain(self):
         H = Hyperbola(0.1, 1.0)
-        for fn, terms in (
-            (excess_infinity_series, 4),
-            (excess_infinity_series, 0),
-            (excess_infinity_series, 1.0),
-            (excess_series_remainder_bound, 2.0),
-            (excess_series_remainder_bound, 4),
-        ):
+        for terms in (4, 0, 1.0, 2.0):
             with pytest.raises(DomainError):
-                fn(H, terms)
+                excess_infinity_series(H, terms)
 
     def test_series_overflow_is_a_domain_error(self):
         # (a/b)^2 raised OverflowError, an overflowing prefactor gave -inf, and
@@ -462,9 +467,8 @@ class TestExcess:
             (Hyperbola(1.7e308, 1e300), 2),
             (Hyperbola(1e-100, 1e-200), 3),
         ):
-            for fn in (excess_infinity_series, excess_series_remainder_bound):
-                with pytest.raises(DomainError, match="overflows"):
-                    fn(H, terms)
+            with pytest.raises(DomainError, match="overflows"):
+                excess_infinity_series(H, terms)
 
     def test_landen_form_values(self):
         val = excess_infinity_landen(LandenPair(2.0, 1.0))
@@ -618,24 +622,13 @@ class TestSimpsonArc:
 
 
 class TestMaclaurinIntegrand:
-    def test_closed_form_value(self):
-        v = maclaurin_excess_integrand(Hyperbola(1.0, 1.0), 0.5)
-        assert v == pytest.approx(-0.25 / math.sqrt(1.0 - 0.0625), rel=1e-15)
-
-    def test_equilateral_specialization(self):
-        H = Hyperbola(1.3, 1.3)
-        for p in (0.3, 0.9):
-            assert maclaurin_excess_integrand(H, p) == pytest.approx(
-                -p * p / math.sqrt(1.3**4 - p**4), rel=1e-13
-            )
-
     def test_is_derivative_of_finite_excess(self):
         H = Hyperbola(1.0, 2.0)
         for p in (0.3, 0.6, 0.9):
             h = 1e-6
             fd = (excess_finite(H, p + h) - excess_finite(H, p - h)) / (2.0 * h)
             assert fd == pytest.approx(
-                maclaurin_excess_integrand(H, p), rel=1e-5
+                maclaurin_integrand(H, p), rel=1e-5
             )
 
     def test_integral_recovers_limit_excess(self):
@@ -643,15 +636,11 @@ class TestMaclaurinIntegrand:
             H = Hyperbola(a, b)
             # p = a - v^2 smooths the inverse-square-root end at p = a
             total = integrate(
-                lambda v: -2.0 * v * maclaurin_excess_integrand(H, a - v * v),
+                lambda v: -2.0 * v * maclaurin_integrand(H, a - v * v),
                 0.0,
                 math.sqrt(a),
             ).value
             assert total == pytest.approx(excess_infinity_closed(H), abs=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            maclaurin_excess_integrand(Hyperbola(1.0, 1.0), 1.0)
 
 
 def test_cross_parameterization_triangle():

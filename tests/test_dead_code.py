@@ -20,10 +20,7 @@ ALLOWED = {
     "ellipse_arc": "closed-form twin of the oracle's ellipse arcs",
     "amplitude_map": "forward map of amplitude_inverse, held to golden rows",
     "lagrange_substitution": "the paper's change of variable for one AGM step",
-    "maclaurin_excess_integrand": "integrated in q against excess_finite",
-    "series_truncation_bound": "bounds the truncation of series_KE",
-    "excess_series_remainder_bound": "bounds the truncation of excess_infinity_series",
-    "abscissae_from_tangent": "the closed-range form of the solve that the open-range routes share",
+    "series_KE": "the hypergeometric twin that tests hold the Legendre walk against",
 }
 
 
@@ -221,8 +218,9 @@ class _Loads(ast.NodeVisitor):
 
 
 def _routed() -> set[str]:
-    """Names with a route: loaded in the package, or named in the benchmarks,
-    whose layer tracer names what it wraps as strings."""
+    """Names with a route: loaded in the package or in the benchmarks.  A
+    string is not a route: the benchmarks' layer tracer names what it wraps
+    as strings, whether a workload calls it or not."""
     found = set()
     for path in SOURCES:
         loads = _Loads()
@@ -234,8 +232,6 @@ def _routed() -> set[str]:
                 found.add(node.id)
             elif isinstance(node, ast.Attribute):
                 found.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                found.add(node.value)
     return found
 
 

@@ -47,34 +47,23 @@ class RunReport(NamedTuple):
     op: str
     inputs: dict[str, float]
     values: dict[str, object]
-    residual: float | None = None
     iterations: int | None = None
     flags: tuple[str, ...] = ()
 
     def to_json(self) -> str:
-        payload = {"schema_version": SCHEMA_VERSION, **self._asdict()}
+        # schema 1 keeps a "residual" key, null since no command reports one
+        payload = {"schema_version": SCHEMA_VERSION, "residual": None, **self._asdict()}
         return json.dumps(payload, sort_keys=True)
 
     def to_plain(self) -> str:
         parts = [f"{name}={value!r}" for name, value in self.inputs.items()]
         head = f"{self.op}({', '.join(parts)})"
-        lines = []
-        for name, value in self.values.items():
-            if isinstance(value, float):
-                lines.append(f"{head} {name} = {value!r}")
-            elif name != "iterates":
-                lines.append(f"{head} {name} = {value}")
-        if self.residual is not None:
-            lines.append(f"{head} residual = {self.residual!r}")
+        # a value that is not a float (agm's iterates) is shown by --json only
+        lines = [f"{head} {k} = {x!r}" for k, x in self.values.items() if isinstance(x, float)]
         if self.iterations is not None:
             lines.append(f"{head} iterations = {self.iterations}")
-        for flag in self.flags:
-            lines.append(f"{head} warning: {flag}")
+        lines += [f"{head} warning: {flag}" for flag in self.flags]
         return "\n".join(lines)
-
-
-def _emit(report: RunReport, as_json: bool) -> None:
-    print(report.to_json() if as_json else report.to_plain())
 
 
 def _hyperbola(v: dict[str, float]) -> _conics.Hyperbola:
@@ -89,17 +78,44 @@ def _pair(v: dict[str, float]) -> _conics.LandenPair:
     return _conics.semiaxes_to_pair(v["a"], v["b"])
 
 
-def _agm_row(v: dict[str, float]) -> dict[str, float]:
+def _agm(v: dict[str, float]) -> RunReport:
     seq = agm(v["p"], v["q"])
-    return {"limit": seq.limit, "iterations": float(seq.iterations)}
+    values = {"limit": seq.limit, "iterates": [[pn, qn] for pn, qn in seq.iterates]}
+    return RunReport("agm", v, values, seq.iterations, ("inputs-swapped",) if seq.swapped else ())
 
 
-# Op name -> (parameter names, function from their values to named outputs).
-# The verb form ``V K`` is the op ``V-K``, and ``table --op`` takes the same
-# names.  Kernels are looked up by module-global name each time an op runs,
-# never stored, so rebinding a module attribute reaches every verb and table.
-OPS = {
-    "agm": (("p", "q"), _agm_row),
+def _verdict(report: _landen.ResidualReport, v: dict[str, float], budget: float) -> int:
+    """Print a check's line and give its exit code, judged against ``--tol``
+    or, when that is not given, the check's own ``budget``."""
+    tol = budget if v["tol"] is None else v["tol"]
+    passed = report.within(tol)
+    inputs = ", ".join(f"{k}={x!r}" for k, x in report.inputs.items())
+    print(
+        f"check {report.name}({inputs}): lhs={report.lhs!r} rhs={report.rhs!r} "
+        f"residual={report.residual!r} tol={tol!r} {'PASS' if passed else 'FAIL'}"
+    )
+    return 0 if passed else 1
+
+
+def _construct(v: dict[str, object]) -> int:
+    svg = _construction.render_svg(_pair(v), v["t"])
+    try:
+        with open(v["out"], "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise DomainError(f"cannot write {v['out']}: {exc}") from exc
+    print(f"wrote {v['out']}")
+    return 0
+
+
+# Command name -> (parameter names, function of their values).  The argv
+# ``V K`` runs the command ``V-K``, and ``table --op`` takes the same names.
+# A command gives its named outputs or a RunReport, or, for ``check`` and
+# ``construct``, prints its own line and gives its exit code.  Kernels are
+# looked up by module-global name each time a command runs, never stored, so
+# rebinding a module attribute reaches every verb and table.
+COMMANDS = {
+    "agm": (("p", "q"), _agm),
     "ellint-K": (("k",), lambda v: {"value": complete_K(v["k"])}),
     "ellint-E": (("k",), lambda v: {"value": complete_E(v["k"])}),
     "ellint-F": (("k", "phi"), lambda v: {"value": incomplete_F(v["phi"], v["k"])}),
@@ -119,66 +135,76 @@ OPS = {
     ),
     "tangent-length": (
         ("m", "n", "x"),
-        lambda v: {
-            "value": _conics.ellipse_tangent_length(_conics.Ellipse(v["m"], v["n"]), v["x"])
-        },
+        lambda v: {"value": _conics.ellipse_tangent_length(_conics.Ellipse(v["m"], v["n"]), v["x"])},
     ),
     "lemniscate": (("radius",), lambda v: lemniscate(v["radius"])._asdict()),
+    "check-gleichung": (
+        ("phi", "k", "tol"),
+        lambda v: _verdict(_landen.check_gleichung(v["phi"], v["k"]), v, 1e-12),
+    ),
+    "check-borwein": (("k", "tol"), lambda v: _verdict(_landen.check_borwein(v["k"]), v, 1e-12)),
+    "check-agm-invariance": (
+        ("x", "p", "q", "tol"),
+        lambda v: _verdict(_landen.check_agm_invariance(v["x"], v["p"], v["q"]), v, 1e-10),
+    ),
+    "check-landen-theorem": (
+        ("m", "n", "t", "tol"),
+        lambda v: _verdict(_conics.landen_theorem_check(_pair(v), v["t"])[1], v, 1e-9),
+    ),
+    "check-fagnano": (
+        ("m", "n", "t", "tol"),
+        lambda v: _verdict(_conics.fagnano_check(_pair(v), v["t"]), v, 1e-9),
+    ),
+    "construct": (("m", "n", "t", "out"), _construct),
 }
 
-# ``excess series --terms`` is the one integer flag, 3 when omitted.  ``table``
-# fixes and sweeps floats only, so it takes every op but that one.
-_DEFAULTS = {"terms": 3}
-_TABLE_OPS = [op for op, (params, _) in OPS.items() if "terms" not in params]
+# Verb -> help.  ``tangent-length`` has no verb, so only ``table`` reaches it.
+_VERBS = {
+    "agm": "arithmetic-geometric mean with history",
+    "ellint": "complete/incomplete elliptic integrals",
+    "excess": "hyperbolic excess in its four forms",
+    "lemniscate": "lemniscate arc lengths",
+    "check": "residual checks; exit 0 iff within tolerance",
+    "table": "sweep one flag of an op into CSV or JSON",
+    "construct": "render the rectification figure as SVG",
+}
+_OWN_LINE = ("check", "construct")  # verbs that print no RunReport, so take no --json
+
+# A flag in _DEFAULTS may be omitted: ``excess series --terms`` is 3, and a
+# check without ``--tol`` is judged against its own budget.  ``table`` fixes
+# and sweeps floats into rows of outputs, so it takes no command with an
+# integer flag or a line of its own.
+_DEFAULTS = {"terms": 3, "tol": None}
+_TABLE_OPS = [
+    op for op, (params, _) in COMMANDS.items()
+    if "terms" not in params and op.partition("-")[0] not in _OWN_LINE
+]
 _SEMIAXES, _PAIR = ("a", "b"), ("m", "n")
 
-# Check name -> (parameter names, default residual budget, function to its report).
-CHECKS = {
-    "gleichung": (("phi", "k"), 1e-12, lambda v: _landen.check_gleichung(v["phi"], v["k"])),
-    "borwein": (("k",), 1e-12, lambda v: _landen.check_borwein(v["k"])),
-    "agm-invariance": (
-        ("x", "p", "q"),
-        1e-10,
-        lambda v: _landen.check_agm_invariance(v["x"], v["p"], v["q"]),
-    ),
-    "landen-theorem": (
-        ("m", "n", "t"),
-        1e-9,
-        lambda v: _conics.landen_theorem_check(_pair(v), v["t"])[1],
-    ),
-    "fagnano": (("m", "n", "t"), 1e-9, lambda v: _conics.fagnano_check(_pair(v), v["t"])),
-}
 
-
-def _take(args: argparse.Namespace, op: str, names: tuple[str, ...]) -> dict[str, float]:
-    """The values of ``names`` among the flags.  A missing one, or a flag
-    given that is not among them, is a DomainError."""
+def _take(args: argparse.Namespace, op: str, names: tuple[str, ...]) -> dict:
+    """The values of ``names`` among the flags.  A missing one without a
+    default, or a flag given that is not among them, is a DomainError."""
     for flag in args.op_flags:
         if flag not in names and getattr(args, flag) is not None:
             raise DomainError(f"{op} does not take --{flag}")
     values = {}
     for name in names:
         value = getattr(args, name)
-        if value is None:
-            value = _DEFAULTS.get(name)
-        if value is None:
+        if value is None and name not in _DEFAULTS:
             raise DomainError(f"{op} requires --{name}")
-        values[name] = value
+        values[name] = _DEFAULTS[name] if value is None else value
     return values
 
 
-def _cmd_agm(args: argparse.Namespace) -> int:
-    seq = agm(args.p, args.q)
-    values = {"limit": seq.limit, "iterates": [[pn, qn] for pn, qn in seq.iterates]}
-    flags = ("inputs-swapped",) if seq.swapped else ()
-    inputs = {"p": args.p, "q": args.q}
-    _emit(RunReport("agm", inputs, values, iterations=seq.iterations, flags=flags), args.json)
-    return 0
+def _report(op: str, inputs: dict[str, float]) -> RunReport:
+    out = COMMANDS[op][1](inputs)
+    return out if isinstance(out, RunReport) else RunReport(op, inputs, out)
 
 
-def _cmd_op(args: argparse.Namespace) -> int:
+def _cmd(args: argparse.Namespace) -> int:
     op = f"{args.verb}-{args.kind}" if "kind" in args else args.verb
-    params, fn = OPS[op]
+    params = COMMANDS[op][0]
     if args.verb == "excess":
         # the hyperbola comes as its semiaxes or as its Landen pair, not both
         given = [g for g in (_SEMIAXES, _PAIR) if any(getattr(args, x) is not None for x in g)]
@@ -186,22 +212,11 @@ def _cmd_op(args: argparse.Namespace) -> int:
             raise DomainError("provide exactly one of (--a, --b) or (--m, --n)")
         params = (*given[0], *(x for x in params if x not in _SEMIAXES + _PAIR))
     inputs = _take(args, op, params)
-    _emit(RunReport(op, inputs, fn(inputs)), args.json)
+    if args.verb in _OWN_LINE:
+        return COMMANDS[op][1](inputs)
+    report = _report(op, inputs)
+    print(report.to_json() if args.json else report.to_plain())
     return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    params, budget, fn = CHECKS[args.name]
-    report = fn({name: getattr(args, name) for name in params})
-    tol = args.tol if args.tol is not None else budget
-    passed = report.within(tol)
-    verdict = "PASS" if passed else "FAIL"
-    inputs = ", ".join(f"{k}={v!r}" for k, v in report.inputs.items())
-    print(
-        f"check {report.name}({inputs}): lhs={report.lhs!r} rhs={report.rhs!r} "
-        f"residual={report.residual!r} tol={tol!r} {verdict}"
-    )
-    return 0 if passed else 1
 
 
 def _sweep_values(start: float, stop: float, step: float) -> list[float]:
@@ -215,15 +230,23 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+def _row(point: dict[str, float], report: RunReport) -> dict[str, float]:
+    """One table row: the point, the report's floats and its iteration count."""
+    row = {**point, **{name: x for name, x in report.values.items() if isinstance(x, float)}}
+    if report.iterations is not None:
+        row["iterations"] = float(report.iterations)
+    return row
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.op not in _TABLE_OPS:
         raise DomainError(f"unknown table op {args.op!r}; choose from {sorted(_TABLE_OPS)}")
-    params, fn = OPS[args.op]
+    params = COMMANDS[args.op][0]
     if args.sweep not in params:
         raise DomainError(f"op {args.op!r} sweeps one of {params}, got {args.sweep!r}")
     fixed = _take(args, args.op, tuple(name for name in params if name != args.sweep))
     sweep = _sweep_values(args.sweep_from, args.sweep_to, args.step)
-    rows = [{**point, **fn(point)} for point in ({args.sweep: v, **fixed} for v in sweep)]
+    rows = [_row(p, _report(args.op, p)) for p in ({args.sweep: v, **fixed} for v in sweep)]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(rows[0])
@@ -234,26 +257,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    pair = _conics.LandenPair(args.m, args.n)
-    svg = _construction.render_svg(pair, args.t)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        raise DomainError(f"cannot write {args.out}: {exc}") from exc
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _add_op_flags(parser: argparse.ArgumentParser, ops: list[str]) -> None:
+def _add_flags(parser: argparse.ArgumentParser, ops: list[str]) -> None:
     """One flag per parameter of ``ops``; ``_take`` checks what each op needs."""
-    flags = tuple(dict.fromkeys(name for op in ops for name in OPS[op][0]))
+    flags = tuple(dict.fromkeys(name for op in ops for name in COMMANDS[op][0]))
     for name in flags:
         if name == "terms":
             parser.add_argument("--terms", type=int, choices=[1, 2, 3])
         else:
-            parser.add_argument(f"--{name}", type=float)
+            parser.add_argument(f"--{name}", type=str if name == "out" else float)
     parser.set_defaults(op_flags=flags)
 
 
@@ -263,55 +274,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Elliptic integrals, conic rectification, and identity checks.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_agm = sub.add_parser("agm", help="arithmetic-geometric mean with history")
-    p_agm.add_argument("--p", type=float, required=True)
-    p_agm.add_argument("--q", type=float, required=True)
-    p_agm.add_argument("--json", action="store_true")
-    p_agm.set_defaults(func=_cmd_agm)
-
-    for verb, help_text in (
-        ("ellint", "complete/incomplete elliptic integrals"),
-        ("excess", "hyperbolic excess in its four forms"),
-        ("lemniscate", "lemniscate arc lengths"),
-    ):
-        ops = [op for op in OPS if op.partition("-")[0] == verb]
-        p_op = sub.add_parser(verb, help=help_text)
+    for verb, help_text in _VERBS.items():
+        if verb == "table":  # built in its place, so usage lists the verbs in _VERBS order
+            # no abbreviated flags: a stray --t would otherwise pass for --to
+            p_tab = sub.add_parser("table", help=help_text, allow_abbrev=False)
+            p_tab.add_argument("--op", required=True)
+            p_tab.add_argument("--sweep", required=True)
+            p_tab.add_argument("--from", dest="sweep_from", type=float, required=True)
+            p_tab.add_argument("--to", dest="sweep_to", type=float, required=True)
+            p_tab.add_argument("--step", type=float, required=True)
+            p_tab.add_argument("--format", choices=["csv", "json"], default="csv")
+            _add_flags(p_tab, _TABLE_OPS)
+            p_tab.set_defaults(func=_cmd_table)
+            continue
+        ops = [op for op in COMMANDS if op.partition("-")[0] == verb]
+        p_verb = sub.add_parser(verb, help=help_text)
         if ops != [verb]:
-            p_op.add_argument("kind", choices=[op.partition("-")[2] for op in ops])
-        _add_op_flags(p_op, ops)
-        p_op.add_argument("--json", action="store_true")
-        p_op.set_defaults(func=_cmd_op)
-
-    p_chk = sub.add_parser("check", help="residual checks; exit 0 iff within tolerance")
-    chk_sub = p_chk.add_subparsers(dest="name", required=True)
-    for name, (params, budget, _) in CHECKS.items():
-        c = chk_sub.add_parser(name)
-        for param in params:
-            c.add_argument(f"--{param}", type=float, required=True)
-        c.add_argument("--tol", type=float, default=None, help=f"default {budget!r}")
-        c.set_defaults(func=_cmd_check)
-
-    # no abbreviated flags: a stray --t would otherwise pass for --to
-    p_tab = sub.add_parser(
-        "table", help="sweep one flag of an op into CSV or JSON", allow_abbrev=False
-    )
-    p_tab.add_argument("--op", required=True)
-    p_tab.add_argument("--sweep", required=True)
-    p_tab.add_argument("--from", dest="sweep_from", type=float, required=True)
-    p_tab.add_argument("--to", dest="sweep_to", type=float, required=True)
-    p_tab.add_argument("--step", type=float, required=True)
-    p_tab.add_argument("--format", choices=["csv", "json"], default="csv")
-    _add_op_flags(p_tab, _TABLE_OPS)
-    p_tab.set_defaults(func=_cmd_table)
-
-    p_con = sub.add_parser("construct", help="render the rectification figure as SVG")
-    p_con.add_argument("--m", type=float, required=True)
-    p_con.add_argument("--n", type=float, required=True)
-    p_con.add_argument("--t", type=float, required=True)
-    p_con.add_argument("--out", required=True)
-    p_con.set_defaults(func=_cmd_construct)
-
+            p_verb.add_argument("kind", choices=[op.partition("-")[2] for op in ops])
+        _add_flags(p_verb, ops)
+        if verb not in _OWN_LINE:
+            p_verb.add_argument("--json", action="store_true")
+        p_verb.set_defaults(func=_cmd)
     return parser
 
 

@@ -390,8 +390,7 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     t_hyp = hyperbola_tangent_length(H, p)
     hyp_arc = hyperbola_arc(H, p)
     eta1 = integrate(_eta1_integrand(pair), 0.0, t).value
-    ds = _ellipse_arc_theta_integrand(pair.ellipse_inner)
-    eta2 = integrate(ds, 0.0, _angle(pair.m, x_minus)).value
+    eta2 = _inner_arc(pair, 0.0, x_minus)
     breakdown = ExcessBreakdown(hyp_arc=hyp_arc, t_hyp=t_hyp, t=t, eta1=eta1, eta2=eta2)
     report = ResidualReport(
         "landen-theorem",
@@ -402,17 +401,18 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     return breakdown, report
 
 
-def _ellipse_arc_theta_integrand(E: Ellipse):
-    # the arc differential under x = a sin(theta); smooth at the vertex,
-    # where the x form sqrt((a^2 - g x^2)/(a^2 - x^2)) cannot recover a - x
-    g = E.g
-    a = E.a
+def _inner_arc(pair: LandenPair, x0: float, x1: float) -> float:
+    """The oracle's arc of the inner ellipse between abscissae x0 <= x1, in
+    the angle form x = m sin(theta): ds = m sqrt(1 - g sin^2 theta) dtheta is
+    smooth at the vertex, where the x form sqrt((m^2 - g x^2)/(m^2 - x^2))
+    cannot recover m - x."""
+    m, g = pair.m, pair.ellipse_inner.g
 
-    def f(theta: float) -> float:
+    def ds(theta: float) -> float:
         s = math.sin(theta)
-        return a * math.sqrt(1.0 - g * s * s)
+        return m * math.sqrt(1.0 - g * s * s)
 
-    return f
+    return integrate(ds, _angle(m, x0), _angle(m, x1)).value
 
 
 def fagnano_check(pair: LandenPair, t: float) -> ResidualReport:
@@ -424,9 +424,8 @@ def fagnano_check(pair: LandenPair, t: float) -> ResidualReport:
     come from the oracle on the angle form of the arc differential.
     """
     _, x_minus, x_plus = _tangent_point(pair, t)
-    ds = _ellipse_arc_theta_integrand(pair.ellipse_inner)
-    lhs = integrate(ds, 0.0, _angle(pair.m, x_minus)).value
-    rhs = t + integrate(ds, _angle(pair.m, x_plus), 0.5 * math.pi).value
+    lhs = _inner_arc(pair, 0.0, x_minus)
+    rhs = t + _inner_arc(pair, x_plus, pair.m)
     return ResidualReport("fagnano", {"m": pair.m, "n": pair.n, "t": t}, lhs, rhs)
 
 

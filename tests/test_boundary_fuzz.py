@@ -1,18 +1,22 @@
-"""The CLI's boundary contract, fuzzed from its registries.
+"""The CLI's boundary contract, fuzzed from its one registry.
 
 Whatever numbers a launch is given, ``main`` returns an exit code in
 {0, 1, 2, 3} and raises nothing, and a launch that exits 0 (success) or 1
 (check failed) prints only finite numbers.  Out-of-domain input is exit 2,
 a ``DomainError``.
 
-The cases are built from ``cli.OPS``, ``cli.CHECKS`` and ``build_parser()``,
-so a new op or check is fuzzed without a new test.  An op with a verb form
-(``ellint K``, ``agm``) runs as that verb; an op that only ``table`` reaches
-(``tangent-length``) runs as a one-row table.  ``construct``, in neither
-registry, draws each of its parser's numeric flags and writes its figure to a
-temporary file.  The draws are seeded: lengths
-log-uniform in [1e-300, 1e300], 15% of them fixed extremes from 5e-324 to
-1.7e308, and moduli and amplitudes clustered at both ends of their ranges.
+The cases are built from ``cli.COMMANDS`` and ``build_parser()``, so a new
+command is fuzzed without a new test.  A command with a verb form
+(``ellint K``, ``check fagnano``, ``agm``, ``construct``) runs as that verb,
+with every flag it takes; one that only ``table`` reaches
+(``tangent-length``) runs as a one-row table.  ``construct`` writes its
+figure to a temporary file.  The draws are seeded: lengths log-uniform in
+[1e-300, 1e300], 15% of them fixed extremes from 5e-324 to 1.7e308, and
+moduli and amplitudes clustered at both ends of their ranges.  A command that
+takes a Landen pair and a tangent length (``check landen-theorem``,
+``check fagnano``, ``construct``) draws them together: n in (0, m) and t in
+(0, m - n), each a log-uniform gap from either end, so that most draws reach
+the arithmetic rather than stopping at n >= m or at the range of t.
 """
 
 import argparse
@@ -20,7 +24,7 @@ import math
 import random
 import re
 
-from conicrect.cli import CHECKS, OPS, build_parser, main
+from conicrect.cli import COMMANDS, build_parser, main
 
 DRAWS = 40
 HALF_PI = 0.5 * math.pi
@@ -54,7 +58,9 @@ def _near_ends(rng, top):
     return rng.choice((gap, top - gap))
 
 
-def _value(rng, name):
+def _value(rng, name, out):
+    if name == "out":
+        return str(out)
     if name == "terms":
         return str(rng.choice((1, 2, 3)))
     if name == "k":
@@ -70,32 +76,37 @@ def _verbs():
 
 
 def _entries(out):
-    """(name, argv builder) for each op and check, and for ``construct``,
-    which writes its figure to ``out``."""
+    """(command, argv builder) for each command of the registry; ``construct``
+    writes its figure to ``out``."""
     verbs = _verbs()
     entries = []
-    for op, (params, _) in OPS.items():
-        verb, _, kind = op.partition("-")
+    for command, (params, _) in COMMANDS.items():
+        verb, _, kind = command.partition("-")
         if verb in verbs:
             head = [verb, kind] if kind else [verb]
-            entries.append((op, lambda rng, head=head, params=params: head + _flags(rng, params)))
+            entries.append((command, lambda rng, head=head, params=params: head + _flags(rng, params, out)))
         else:
-            entries.append((op, lambda rng, op=op, params=params: _table(rng, op, params)))
-    for name, (params, _, _) in CHECKS.items():
-        entries.append((name, lambda rng, name=name, params=params: ["check", name] + _flags(rng, params)))
-    params = [action.dest for action in verbs["construct"]._actions if action.type is float]
-    entries.append(("construct", lambda rng: ["construct"] + _flags(rng, params) + ["--out", str(out)]))
+            entries.append((command, lambda rng, command=command, params=params: _table(rng, command, params)))
     return entries
 
 
-def _flags(rng, params):
-    return [item for name in params for item in (f"--{name}", _value(rng, name))]
+def _flags(rng, params, out):
+    drawn = _pair(rng) if {"m", "n", "t"} <= set(params) else {}
+    values = {name: drawn[name] if name in drawn else _value(rng, name, out) for name in params}
+    return [item for name, value in values.items() for item in (f"--{name}", value)]
 
 
-def _table(rng, op, params):
+def _pair(rng):
+    """A Landen pair n < m and a tangent length t in (0, m - n), each near an end."""
+    m = _length(rng)
+    n = _near_ends(rng, m)
+    return {"m": repr(m), "n": repr(n), "t": repr(_near_ends(rng, m - n))}
+
+
+def _table(rng, command, params):
     sweep, *fixed = params
-    v = _value(rng, sweep)
-    return ["table", "--op", op, "--sweep", sweep, "--from", v, "--to", v, "--step", "1"] + _flags(rng, fixed)
+    v = _value(rng, sweep, None)
+    return ["table", "--op", command, "--sweep", sweep, "--from", v, "--to", v, "--step", "1"] + _flags(rng, fixed, None)
 
 
 def _argvs(out):
@@ -108,11 +119,11 @@ def test_every_op_and_check_is_fuzzed(tmp_path):
     rng = random.Random(0)
     argvs = {name: build(rng) for name, build in _entries(tmp_path / "figure.svg")}
     heads = {name: argv[:3] for name, argv in argvs.items()}
-    assert set(heads) == set(OPS) | set(CHECKS) | {"construct"}
+    assert list(heads) == list(COMMANDS)
     assert heads["ellint-K"] == ["ellint", "K", "--k"]
+    assert heads["check-agm-invariance"] == ["check", "agm-invariance", "--x"]
     # no verb reaches tangent-length, so it runs as a one-row table
     assert heads["tangent-length"] == ["table", "--op", "tangent-length"]
-    # construct is in neither registry; its parser gives the flags it draws
     construct = argvs["construct"]
     assert construct[0] == "construct"
     assert construct[1::2] == ["--m", "--n", "--t", "--out"]

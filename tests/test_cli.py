@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conicrect.cli import main
+from conicrect.cli import COMMANDS, _TABLE_OPS, main
 
 
 SWEEP = ["--from", "0.1", "--to", "0.5", "--step", "0.2"]
@@ -31,6 +31,14 @@ class TestAgmVerb:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload, sort_keys=True)) == payload
         assert payload["values"]["limit"] == 0.8972114321150411
+
+    def test_json_bytes(self, capsys):
+        # schema 1 keeps "residual": null, though no command reports one
+        _, out = run(capsys, "agm", "--p", "2", "--q", "2", "--json")
+        assert out == (
+            '{"flags": [], "inputs": {"p": 2.0, "q": 2.0}, "iterations": 0, "op": "agm", '
+            '"residual": null, "schema_version": 1, "values": {"iterates": [[2.0, 2.0]], "limit": 2.0}}\n'
+        )
 
     def test_plain(self, capsys):
         code, out = run(capsys, "agm", "--p", "2", "--q", "2")
@@ -225,25 +233,36 @@ class TestConstructVerb:
         assert 'id="pt-F"' in out_path.read_text()
 
 
+# one point for each command that both a verb and ``table`` reach
+TABLED_VERBS = [
+    ("agm", {"p": "1.5", "q": "0.3"}),
+    ("ellint-K", {"k": "0.7"}),
+    ("ellint-E", {"k": "0.7"}),
+    ("ellint-F", {"k": "0.7", "phi": "0.9"}),
+    ("ellint-Einc", {"k": "0.7", "phi": "0.9"}),
+    ("excess-closed", {"a": "1", "b": "2.5"}),
+    ("excess-landen", {"m": "0.5520621297032798", "n": "0.20963619791418595"}),
+    ("excess-finite", {"a": "1", "b": "2.5", "p": "0.3"}),
+    ("lemniscate", {"radius": "1.7"}),
+]
+
+
 class TestOneRegistry:
-    @pytest.mark.parametrize(
-        "op, point",
-        [
-            ("agm", {"p": "1.5", "q": "0.3"}),
-            ("ellint-K", {"k": "0.7"}),
-            ("ellint-E", {"k": "0.7"}),
-            ("ellint-F", {"k": "0.7", "phi": "0.9"}),
-            ("ellint-Einc", {"k": "0.7", "phi": "0.9"}),
-            ("excess-closed", {"a": "1", "b": "2.5"}),
-            ("excess-landen", {"m": "0.5520621297032798", "n": "0.20963619791418595"}),
-            ("excess-finite", {"a": "1", "b": "2.5", "p": "0.3"}),
-            ("lemniscate", {"radius": "1.7"}),
-        ],
-    )
+    def test_every_tabled_verb_is_compared(self):
+        # no verb reaches tangent-length
+        assert [op for op, _ in TABLED_VERBS] == [op for op in _TABLE_OPS if op != "tangent-length"]
+        assert set(COMMANDS) - set(_TABLE_OPS) == {
+            "excess-series", "construct", *(op for op in COMMANDS if op.startswith("check-"))
+        }
+
+    @pytest.mark.parametrize("op, point", TABLED_VERBS)
     def test_verb_and_table_agree_bit_for_bit(self, capsys, op, point):
         flags = [token for name, value in point.items() for token in (f"--{name}", value)]
         _, out = run(capsys, *op.split("-"), *flags, "--json")
-        from_verb = json.loads(out)["values"]
+        payload = json.loads(out)
+        from_verb = {name: x for name, x in payload["values"].items() if isinstance(x, float)}
+        if payload["iterations"] is not None:
+            from_verb["iterations"] = float(payload["iterations"])
         sweep, at = flags[0][2:], flags[1]
         _, out = run(
             capsys,
@@ -251,10 +270,10 @@ class TestOneRegistry:
             *flags[2:], "--format", "json",
         )
         [row] = json.loads(out)["rows"]
-        shared = from_verb.keys() & row.keys()
-        assert shared
-        assert {name: repr(row[name]) for name in shared} == {
-            name: repr(from_verb[name]) for name in shared
+        from_table = {name: x for name, x in row.items() if name not in point}
+        assert from_table
+        assert {name: repr(x) for name, x in from_table.items()} == {
+            name: repr(x) for name, x in from_verb.items()
         }
 
     @pytest.mark.parametrize(
@@ -268,11 +287,34 @@ class TestOneRegistry:
             ["excess", "closed", "--a", "1", "--b", "2", "--p", "0.1"],
             ["excess", "landen", "--m", "2", "--n", "1", "--terms", "2"],
             ["excess", "closed", "--a", "1", "--b", "2", "--m", "2"],
+            ["check", "borwein", "--k", "0.5", "--m", "2"],
+            ["check", "fagnano", "--m", "2", "--n", "1", "--t", "0.5", "--k", "1"],
         ],
     )
     def test_flag_the_op_does_not_take_is_rejected(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["agm"], "agm requires --p"),
+            (["agm", "--p", "1"], "agm requires --q"),
+            (["check", "gleichung", "--k", "0.6"], "check-gleichung requires --phi"),
+            (["construct", "--m", "2", "--n", "1", "--t", "0.5"], "construct requires --out"),
+        ],
+    )
+    def test_missing_flag_is_one_domain_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"domain error: {message}\n" and captured.out == ""
+
+    def test_check_help_lists_every_check_flag(self, capsys):
+        assert main(["check", "--help"]) == 0
+        out = capsys.readouterr().out
+        params = {name for op, (names, _) in COMMANDS.items() if op.startswith("check-") for name in names}
+        assert params == {"phi", "k", "x", "p", "q", "m", "n", "t", "tol"}
+        assert all(f"--{name} " in out for name in params)
 
     def test_series_terms_default_is_shown(self, capsys):
         code, out = run(capsys, "excess", "series", "--a", "0.1", "--b", "1")

@@ -32,6 +32,7 @@ __all__ = [
 
 _STOP_ABS = _STOP_REL = 1e-15  # the AGM stops at p_n - q_n <= max(_STOP_ABS, _STOP_REL p_n)
 _MAX_STEPS = 60
+_MAX_WEIGHT = 2.0 ** _MAX_STEPS  # the walk's weight 2^n at pair n = _MAX_STEPS
 
 _SERIES_TERM_CAP = 200
 
@@ -77,28 +78,52 @@ def complement(k: float) -> float:
     return math.sqrt((1.0 - k) * (1.0 + k))
 
 
-def _agm_steps(p: float, q: float) -> tuple[list[tuple[float, float]], float, float]:
-    """(iterates, limit, tail) of the AGM from (p, q), p >= q > 0.
+def _agm_steps(
+    p: float, q: float, phi: float | None = None, record: list[tuple[float, float]] | None = None
+) -> tuple[float, float, float | None, float, float]:
+    """(limit, tail, phi, sines, weight) of the AGM from (p, q), p >= q > 0,
+    with Legendre's amplitudes from phi, in one loop.
 
-    The iterates (p_n, q_n) run from the first pair to the last, whose mean
-    (p_N + q_N)/2 is the limit M(p, q); tail = sum_(n>=1) 2^(n-1) c_n^2 is
-    Gauss's sum over them, c_(n+1) = (p_n - q_n)/2.  The walk stops after
-    the pair with p_n - q_n <= max(_STOP_ABS, _STOP_REL * p_n), or with a
+    Each step takes the pair (p_n, q_n) to its means and, for a phi, the
+    amplitude phi_n to phi_(n+1) = phi_n + arctan((q_n/p_n) tan(phi_n)) on
+    the continuous branch, taken as 2 phi - d with tan(d) =
+    (p - q) sin(phi) cos(phi) / (p cos^2(phi) + q sin^2(phi)): the
+    denominator is a sum of positive terms, so d needs no branch and nothing
+    cancels as q/p -> 0 at phi -> pi/2.  Each amplitude's sine serves both
+    its sum term and the next step.  Over the pairs n = 0 .. N, the last
+    included, with c_(n+1) = (p_n - q_n)/2:
+
+    - limit = (p_N + q_N)/2 = M(p, q);
+    - tail = sum_(n>=1) 2^(n-1) c_n^2, Gauss's sum;
+    - phi = phi_(N+1), None for phi None, with
+      int_0^phi dt / sqrt(p^2 cos^2 t + q^2 sin^2 t) = phi_(N+1) / (2^(N+1) M);
+    - sines = sum_(n>=1) c_n sin(phi_n), 0 for phi None;
+    - weight = 2^N.
+
+    ``record``, when given, receives every pair.  The walk stops after the
+    pair with p_n - q_n <= max(_STOP_ABS, _STOP_REL * p_n), or with a
     difference that stopped shrinking; it raises after _MAX_STEPS steps.
     """
-    steps = []
-    weight = 0.5
-    tail = 0.0
+    weight = 0.5  # 2^n at pair n
+    tail = sines = 0.0
     prev_diff = math.inf
+    if phi is not None:
+        s = math.sin(phi)
     while True:
-        steps.append((p, q))
+        if record is not None:
+            record.append((p, q))
         diff = p - q
         c = 0.5 * diff
         weight *= 2.0
         tail += weight * c * c
+        if phi is not None:
+            cos = math.cos(phi)
+            phi = 2.0 * phi - math.atan2(diff * s * cos, p * cos * cos + q * s * s)
+            s = math.sin(phi)
+            sines += c * s
         if diff <= _STOP_ABS or diff <= _STOP_REL * p or diff >= prev_diff:
-            return steps, 0.5 * (p + q), tail
-        if len(steps) > _MAX_STEPS:
+            return 0.5 * (p + q), tail, phi, sines, weight
+        if weight >= _MAX_WEIGHT:
             raise ConvergenceError(f"agm failed to converge within {_MAX_STEPS} iterations")
         prev_diff = diff
         p, q = 0.5 * (p + q), math.sqrt(p * q)
@@ -125,48 +150,23 @@ def agm(p0: float, q0: float) -> AgmSequence:
     p, q = math.ldexp(p0, -e), math.ldexp(q0, -e)
     if q < sys.float_info.min:
         raise DomainError(f"agm requires q0/p0 in the normal range, got p0={p0!r}, q0={q0!r}")
-    scaled, limit, _ = _agm_steps(p, q)
+    scaled = []
+    limit = _agm_steps(p, q, None, scaled)[0]
     iterates = tuple([(math.ldexp(pn, e), math.ldexp(qn, e)) for pn, qn in scaled])
     return AgmSequence(p0, q0, iterates, math.ldexp(limit, e), len(scaled) - 1, swapped)
 
 
-def _amplitude_walk(phi: float, steps: list[tuple[float, float]]) -> tuple[float, float]:
-    """(phi_N, sum_(n>=1) c_n sin(phi_n)) over the AGM iterates (a_n, b_n),
-    with c_(n+1) = (a_n - b_n)/2 and the amplitude step
-    phi_(n+1) = phi_n + arctan((b_n/a_n) tan(phi_n)) on the continuous branch.
-
-    The step is taken as 2 phi - d with tan(d) = (a - b) sin(phi) cos(phi) /
-    (a cos^2(phi) + b sin^2(phi)): the denominator is a sum of positive
-    terms, so d needs no branch and nothing cancels as b/a -> 0 at
-    phi -> pi/2.  Each amplitude's sine serves both its sum term and the
-    next step.
-    """
-    sines = 0.0
-    s = math.sin(phi)
-    for a, b in steps:
-        c = math.cos(phi)
-        phi = 2.0 * phi - math.atan2((a - b) * s * c, a * c * c + b * s * s)
-        s = math.sin(phi)
-        sines += 0.5 * (a - b) * s
-    return phi, sines
-
-
 def _legendre(kp: float, phi: float | None = None) -> tuple[float, float, float]:
-    """(F, tail, sines) over the AGM iterates (a_n, b_n) of (1, k'), the last included.
-
-    tail = sum_(n>=1) 2^(n-1) c_n^2 comes with the iterates from
-    ``_agm_steps``, and phi_N and sines = sum_(n>=1) c_n sin(phi_n) from
-    ``_amplitude_walk``; F = phi_N / (2^N a_N).  phi None gives
-    K = pi / (2 M(1, k')) and no sines.  E = F (1 - k^2/2 - tail) + sines.
-    The walk takes k', not k, so a caller that knows k' exactly, as
-    (1 - k)/(1 + k) for the ascended modulus, keeps it where k itself would
-    round to 1.
+    """(F, tail, sines) from one walk of ``_agm_steps`` over the AGM of (1, k'):
+    F(phi, k) = phi_(N+1) / (2^(N+1) M), or K = pi / (2M) for phi None, and
+    E = F (1 - k^2/2 - tail) + sines.  The walk takes k', not k, so a caller
+    that knows k' exactly, as (1 - k)/(1 + k) for the ascended modulus, keeps
+    it where k itself would round to 1.
     """
-    steps, limit, tail = _agm_steps(1.0, kp)
+    limit, tail, phi, sines, weight = _agm_steps(1.0, kp, phi)
     if phi is None:
-        return 0.5 * math.pi / limit, tail, 0.0
-    phi, sines = _amplitude_walk(phi, steps)
-    return phi / math.ldexp(limit, len(steps)), tail, sines
+        return 0.5 * math.pi / limit, tail, sines
+    return phi / (2.0 * weight * limit), tail, sines
 
 
 def _second_kind(k: float, phi: float | None = None) -> tuple[float, float]:
@@ -239,7 +239,7 @@ def series_KE(kind: str, k: float, terms: int) -> float:
     return 0.5 * math.pi * total
 
 
-_LEMNISCATE_M = _agm_steps(math.sqrt(2.0), 1.0)[1]  # M(1, sqrt(2)), walked once at import
+_LEMNISCATE_M = _agm_steps(math.sqrt(2.0), 1.0)[0]  # M(1, sqrt(2)), walked once at import
 
 
 def lemniscate(radius: float) -> LemniscateArcs:

@@ -17,7 +17,7 @@ import sys
 from typing import NamedTuple
 
 from .agm import _legendre, complete_E, incomplete_E
-from .errors import DomainError
+from .errors import DomainError, IntegrandError
 from .landen import ResidualReport, _Checked
 from .quadrature import integrate
 
@@ -200,13 +200,17 @@ def hyperbola_arc(H: Hyperbola, p_lo: float) -> float:
     u = asinh(sqrt(s)).  Under x = x_v e^(-u) the arc differential becomes
     sqrt(b^2 + (a^2+b^2) sinh^2(u)) du, the speed of (a cosh u, b sinh u),
     a sum of positive terms that grows like e^u and is smooth on [0, u].
+    A speed or a sum that overflows is a DomainError.
     """
     b, c = H.b, H.focal_distance
 
     def speed(u: float) -> float:
         return math.hypot(b, c * math.sinh(u))
 
-    return integrate(speed, 0.0, math.asinh(_branch_root(H, p_lo))).value
+    try:  # the speed is never NaN, so the oracle's IntegrandError is an overflow
+        return integrate(speed, 0.0, math.asinh(_branch_root(H, p_lo))).value
+    except IntegrandError as exc:
+        raise DomainError(f"the arc of {H!r} to pedal distance {p_lo!r} overflows: {exc}") from exc
 
 
 def ellipse_tangent_length(E: Ellipse, x: float) -> float:
@@ -440,7 +444,8 @@ def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
     accurate, and (a/d) sqrt(1 - d^2 u^2) is written as
     sqrt(b^2 + a^2 (1 - u^2)), which does not cancel when b << a.  The
     oracle then runs in t = sqrt(w), where 2 t f(t^2) is smooth up to and
-    through the vertex, so every u1 takes the same form.
+    through the vertex, so every u1 takes the same form.  An integrand or a
+    sum that overflows is a DomainError.
     """
     if not 0.0 < u0 <= u1 <= 1.0:
         raise DomainError(f"need 0 < u0 <= u1 <= 1, got u0={u0!r}, u1={u1!r}")
@@ -454,5 +459,8 @@ def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
     def g(t: float) -> float:
         return 2.0 * t * f(t * t)
 
-    return integrate(g, math.sqrt(-math.log(u1)), math.sqrt(-math.log(u0))).value
+    try:  # g is never NaN, so the oracle's IntegrandError is an overflow
+        return integrate(g, math.sqrt(-math.log(u1)), math.sqrt(-math.log(u0))).value
+    except IntegrandError as exc:
+        raise DomainError(f"the arc of {H!r} over u in [{u0!r}, {u1!r}] overflows: {exc}") from exc
 

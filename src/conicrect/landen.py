@@ -14,10 +14,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .agm import (
-    _amplitude_walk, _check_amplitude, _check_modulus, _legendre, _second_kind, complete_E,
-    incomplete_F,
-)
+from .agm import _check_amplitude, _check_modulus, _legendre, _second_kind, complete_E, incomplete_F
 from .errors import DomainError
 from .quadrature import integrate
 
@@ -25,7 +22,6 @@ __all__ = [
     "LagrangeParams",
     "ResidualReport",
     "modulus_ascend",
-    "amplitude_map",
     "amplitude_inverse",
     "lagrange_substitution",
     "upper_limit",
@@ -104,22 +100,10 @@ def modulus_ascend(k: float) -> float:
     return 2.0 * math.sqrt(k) / (1.0 + k)
 
 
-def amplitude_map(phi_hat: float, k: float) -> float:
-    """Amplitude on the smaller-modulus side of one descending step.
-
-    The amplitude step of the AGM (1 + k, 1 - k):
-    phi = phi_hat + arctan(((1 - k)/(1 + k)) tan(phi_hat)), the continuous
-    increasing solution of sin(2 phi_hat - phi) = k sin(phi).  For phi_hat
-    in [0, pi/2] the result lies in [0, pi]; it passes pi/2 exactly at
-    phi_hat = pi/4 + arcsin(k)/2 and reaches pi in the complete case.
-    """
-    _check_amplitude(phi_hat)
-    _check_modulus(k)
-    return _amplitude_walk(phi_hat, [(1.0 + k, 1.0 - k)])[0]
-
-
 def amplitude_inverse(phi: float, k: float) -> float:
-    """The phi_hat in [phi/2, (phi + pi/2)/2] with amplitude_map(phi_hat, k) = phi.
+    """The phi_hat in [phi/2, (phi + pi/2)/2] with
+    phi_hat + arctan(((1 - k)/(1 + k)) tan(phi_hat)) = phi, the amplitude
+    step of the AGM (1 + k, 1 - k) on its continuous branch.
 
     Closed form: sin(2 phi_hat - phi) = k sin(phi) gives
     phi_hat = (phi + arcsin(k sin(phi)))/2.  The arcsine of y = k sin(phi) is

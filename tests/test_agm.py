@@ -15,7 +15,6 @@ from conicrect import (
     Hyperbola,
     agm,
     amplitude_inverse,
-    amplitude_map,
     check_borwein,
     check_gleichung,
     complete_E,
@@ -127,8 +126,9 @@ class TestAgm:
                 agm(p, q)
 
     def test_max_iter_reported(self, monkeypatch):
-        # conicrect.agm is the function; its module holds the step bound
-        monkeypatch.setattr(sys.modules["conicrect.agm"], "_MAX_STEPS", 2)
+        # conicrect.agm is the function; its module holds the step bound as
+        # the walk's weight 2^n at pair n, here two steps
+        monkeypatch.setattr(sys.modules["conicrect.agm"], "_MAX_WEIGHT", 4.0)
         with pytest.raises(ConvergenceError):
             agm(1.0, 0.8)
 
@@ -212,6 +212,26 @@ class TestCompleteE:
     def test_domain(self):
         with pytest.raises(DomainError):
             complete_E(1.0 + 1e-12)
+
+    def test_legendre_relation(self):
+        # E K' + E' K - K K' = pi/2 (DLMF 19.7.1) holds the walks of (1, k')
+        # and (1, k) to each other; moduli clustered at both ends as the
+        # kernels workload draws them, kept where K(k') is finite
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(20000):
+            if rng.random() < 0.5:
+                k = 0.5 * 10.0 ** -rng.uniform(0.0, 12.0)
+            else:
+                k = 1.0 - 10.0 ** -rng.uniform(math.log10(2.0), 12.0)
+            kp = complement(k)
+            if not kp < 1.0:
+                continue
+            checked += 1
+            K, E, Kp, Ep = complete_K(k), complete_E(k), complete_K(kp), complete_E(kp)
+            terms = E * Kp + Ep * K + K * Kp
+            assert abs(E * Kp + Ep * K - K * Kp - HALF_PI) <= 1e-15 * terms, k
+        assert checked > 15000
 
 
 class TestIncompleteF:
@@ -335,7 +355,9 @@ class TestLemniscate:
 
     def test_quarter_arc_first_keeps_the_bits(self):
         # pi R / (2M) and a quarter of 2 pi R / M differ only by powers of two
-        *_, (p, q) = sys.modules["conicrect.agm"]._agm_steps(math.sqrt(2.0), 1.0)[0]
+        record = []
+        sys.modules["conicrect.agm"]._agm_steps(math.sqrt(2.0), 1.0, record=record)
+        *_, (p, q) = record
         limit = 0.5 * (p + q)
         rng = random.Random(308)
         for _ in range(3000):
@@ -367,7 +389,6 @@ def test_kernels_never_reach_the_oracle(monkeypatch):
             incomplete_F(phi, k)
             incomplete_E(phi, k)
             check_gleichung(phi, k)
-            amplitude_map(phi, k)
             amplitude_inverse(phi, k)
         if k > 0.0:
             H = Hyperbola(k, complement(k))  # modulus a / sqrt(a^2 + b^2) = k

@@ -12,11 +12,15 @@ with every flag it takes; one that only ``table`` reaches
 (``tangent-length``) runs as a one-row table.  ``construct`` writes its
 figure to a temporary file.  The draws are seeded: lengths log-uniform in
 [1e-300, 1e300], 15% of them fixed extremes from 5e-324 to 1.7e308, and
-moduli and amplitudes clustered at both ends of their ranges.  A command that
-takes a Landen pair and a tangent length (``check landen-theorem``,
-``check fagnano``, ``construct``) draws them together: n in (0, m) and t in
-(0, m - n), each a log-uniform gap from either end, so that most draws reach
-the arithmetic rather than stopping at n >= m or at the range of t.
+moduli and amplitudes clustered at both ends of their ranges.  Flags that
+bound one another are drawn together, each a log-uniform gap from either
+end of its range, so that most draws reach the arithmetic rather than
+stopping at a domain check: a Landen pair and a tangent length
+(``check landen-theorem``, ``check fagnano``, ``construct``) as n in (0, m)
+and t in (0, m - n); an ellipse and an abscissa (``tangent-length``) as
+n in [0, m] and x in [0, m]; an AGM step and its limit
+(``check agm-invariance``) as q in (0, p) and x in [0, 1/p]; a hyperbola and
+a pedal distance (``excess finite``) as p in (0, a].
 """
 
 import argparse
@@ -84,29 +88,46 @@ def _entries(out):
         verb, _, kind = command.partition("-")
         if verb in verbs:
             head = [verb, kind] if kind else [verb]
-            entries.append((command, lambda rng, head=head, params=params: head + _flags(rng, params, out)))
+            entries.append((command, lambda rng, head=head, params=params: head + _flags(_values(rng, params, out))))
         else:
             entries.append((command, lambda rng, command=command, params=params: _table(rng, command, params)))
     return entries
 
 
-def _flags(rng, params, out):
-    drawn = _pair(rng) if {"m", "n", "t"} <= set(params) else {}
-    values = {name: drawn[name] if name in drawn else _value(rng, name, out) for name in params}
+def _values(rng, params, out):
+    """A value for each of ``params``, those that bound one another drawn together."""
+    drawn = {name: repr(value) for name, value in _together(rng, set(params)).items()}
+    return {name: drawn[name] if name in drawn else _value(rng, name, out) for name in params}
+
+
+def _together(rng, names):
+    """The flags among ``names`` that bound one another, each near an end of
+    the range the others leave it."""
+    if {"m", "n", "t"} <= names:  # a Landen pair n < m and t in (0, m - n)
+        m = _length(rng)
+        n = _near_ends(rng, m)
+        return {"m": m, "n": n, "t": _near_ends(rng, m - n)}
+    if {"m", "n", "x"} <= names:  # an ellipse n <= m and x in [0, m]
+        m = _length(rng)
+        return {"m": m, "n": _near_ends(rng, m), "x": _near_ends(rng, m)}
+    if {"x", "p", "q"} <= names:  # an AGM step q < p and x in [0, 1/p]
+        p = _length(rng)
+        return {"p": p, "q": _near_ends(rng, p), "x": _near_ends(rng, 1.0 / p)}
+    if {"a", "p"} <= names:  # a hyperbola and p in (0, a]
+        a = _length(rng)
+        return {"a": a, "p": _near_ends(rng, a)}
+    return {}
+
+
+def _flags(values):
     return [item for name, value in values.items() for item in (f"--{name}", value)]
 
 
-def _pair(rng):
-    """A Landen pair n < m and a tangent length t in (0, m - n), each near an end."""
-    m = _length(rng)
-    n = _near_ends(rng, m)
-    return {"m": repr(m), "n": repr(n), "t": repr(_near_ends(rng, m - n))}
-
-
 def _table(rng, command, params):
-    sweep, *fixed = params
-    v = _value(rng, sweep, None)
-    return ["table", "--op", command, "--sweep", sweep, "--from", v, "--to", v, "--step", "1"] + _flags(rng, fixed, None)
+    sweep = params[0]
+    values = _values(rng, params, None)
+    v = values.pop(sweep)
+    return ["table", "--op", command, "--sweep", sweep, "--from", v, "--to", v, "--step", "1"] + _flags(values)
 
 
 def _argvs(out):

@@ -393,6 +393,12 @@ class TestHyperbolaArc:
         with pytest.raises(DomainError):
             hyperbola_arc(Hyperbola(1e-200, 2e-200), 5e-201)
 
+    def test_overflowing_arc_is_a_domain_error(self):
+        # the speed overflows near the far end, where the arc itself does;
+        # this raised IntegrandError
+        with pytest.raises(DomainError, match="overflows: integrand returned inf"):
+            hyperbola_arc(Hyperbola(1.71e-160, 3.02e174), 2.2e-308)
+
 
 class TestExcess:
     def test_finite_vertex(self):
@@ -615,6 +621,11 @@ class TestSimpsonArc:
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             simpson_arc(Hyperbola(1.0, 1.0), 0.0, 1.0)
+
+    def test_overflowing_arc_is_a_domain_error(self):
+        # the arc, about sqrt(a^2 + b^2)/u0, overflows; this raised IntegrandError
+        with pytest.raises(DomainError, match="overflows: integrand returned inf"):
+            simpson_arc(Hyperbola(1e100, 1.14e46), 6.3e-245, 1 - 1.4e-13)
 
     @pytest.mark.parametrize("u1,b,u0,arc", NEAR_VERTEX_REFERENCE)
     def test_near_vertex_against_references(self, u1, b, u0, arc):

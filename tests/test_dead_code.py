@@ -18,7 +18,6 @@ BENCHMARKS = sorted((Path(__file__).resolve().parents[1] / "benchmarks").glob("*
 # the paper that is yet to be put on a route.
 ALLOWED = {
     "ellipse_arc": "closed-form twin of the oracle's ellipse arcs",
-    "amplitude_map": "forward map of amplitude_inverse, held to golden rows",
     "lagrange_substitution": "the paper's change of variable for one AGM step",
     "series_KE": "the hypergeometric twin that tests hold the Legendre walk against",
 }

@@ -7,8 +7,13 @@ an amplitude step per call, and a Legendre loop that tested phi on every
 step.  It runs on the same libm as the package, so equality holds on any
 platform.  The draws follow the ``kernels`` workload of
 ``benchmarks/inproc.py``.
+
+``amplitude_map`` is that amplitude step over the one pair (1 + k, 1 - k),
+the forward map of ``amplitude_inverse``; tests/test_landen.py and
+tests/test_golden.py hold it to its defining relation and golden rows.
 """
 
+import inspect
 import math
 import random
 import sys
@@ -18,7 +23,6 @@ from conicrect import (
     LandenPair,
     agm,
     amplitude_inverse,
-    amplitude_map,
     check_borwein,
     check_gleichung,
     complete_E,
@@ -54,6 +58,12 @@ def _steps(p, q):
 def _amplitude_step(phi, a, b):
     s, c = math.sin(phi), math.cos(phi)
     return 2.0 * phi - math.atan2((a - b) * s * c, a * c * c + b * s * s)
+
+
+def amplitude_map(phi_hat, k):
+    """phi_hat + arctan(((1 - k)/(1 + k)) tan(phi_hat)), the amplitude step
+    of the AGM (1 + k, 1 - k) on its continuous branch."""
+    return _amplitude_step(phi_hat, 1.0 + k, 1.0 - k)
 
 
 def _legendre(kp, phi=None):
@@ -180,8 +190,6 @@ def _cases():
          ref_excess_infinity_closed, semiaxes),
         ("excess_infinity_landen", lambda m, n: excess_infinity_landen(LandenPair(m, n)),
          ref_excess_infinity_landen, [_pair(a, b) for a, b in semiaxes]),
-        ("amplitude_map", amplitude_map, lambda phi, k: _amplitude_step(phi, 1.0 + k, 1.0 - k),
-         _amplitudes_and_moduli(rng)),
         ("check_gleichung", lambda phi, k: check_gleichung(phi, k)[2:], ref_gleichung,
          _amplitudes_and_moduli(rng)),
         ("check_borwein", lambda k: check_borwein(k)[2:], ref_borwein, [(k,) for k in _moduli(rng)]),
@@ -200,11 +208,18 @@ def test_every_kernel_value_keeps_its_bits():
 
 def test_one_agm_walk_per_kernel_call(monkeypatch):
     # a second copy of the AGM step anywhere would walk without _agm_steps;
-    # lemniscate's M(1, sqrt(2)) is walked once, at import
+    # lemniscate's M(1, sqrt(2)) is walked once, at import; only agm() asks
+    # the walk for a record of its pairs
     agm_module = sys.modules["conicrect.agm"]
     walk = agm_module._agm_steps
+    signature = inspect.signature(walk)
     walks = []
-    monkeypatch.setattr(agm_module, "_agm_steps", lambda p, q: walks.append((p, q)) or walk(p, q))
+
+    def counted(*args, **kwargs):
+        walks.append(signature.bind(*args, **kwargs).arguments.get("record") is not None)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(agm_module, "_agm_steps", counted)
     cases = [
         (complete_K, [(0.0,), (0.5,), (K_EDGE,)], 1),
         (complete_E, [(0.0,), (0.5,), (K_EDGE,)], 1),
@@ -212,13 +227,19 @@ def test_one_agm_walk_per_kernel_call(monkeypatch):
         (incomplete_E, [(0.0, 0.5), (1.0, 0.0), (HALF_PI, K_EDGE)], 1),
         (agm, [(1.0, 0.5), (1e-3, 1e3), (1.0, 1e-12)], 1),
         (lambda a, b: excess_infinity_closed(Hyperbola(a, b)), [(1.0, 2.0), (1.0, 1e8), (1e6, 1.0)], 1),
+        # both quadrants walk while neither modulus rounds to 1
+        (lambda m, n: excess_infinity_landen(LandenPair(m, n)), [(2.0, 1.0), (1.0 + 1e-9, 1.0), (10.0, 1e-3)], 2),
         (check_gleichung, [(0.0, 0.0), (1.0, 0.5), (HALF_PI, K_EDGE)], 2),
+        # E(k) and K(k) from one walk, E(k_hat) from a second while k_hat < 1
+        (check_borwein, [(0.0,), (0.5,), (0.9,)], 2),
         (lemniscate, [(1e-3,), (1.0,), (1e3,)], 0),
     ]
-    counted = []
+    counted_walks = []
     for call, draws, _ in cases:
         for args in draws:
             walks.clear()
             call(*args)
-            counted.append(len(walks))
-    assert counted == [expected for _, draws, expected in cases for _ in draws]
+            counted_walks.append((len(walks), sum(walks)))
+    assert counted_walks == [
+        (expected, expected if call is agm else 0) for call, draws, expected in cases for _ in draws
+    ]

@@ -12,7 +12,6 @@ from conicrect import (
     DomainError,
     LagrangeParams,
     amplitude_inverse,
-    amplitude_map,
     check_agm_invariance,
     check_borwein,
     check_gleichung,
@@ -25,6 +24,7 @@ from conicrect import (
     upper_limit,
 )
 from conicrect import landen
+from test_kernel_bits import amplitude_map  # the walk's amplitude step, held test-side
 
 HALF_PI = 0.5 * math.pi
 

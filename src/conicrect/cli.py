@@ -19,8 +19,6 @@ carries full double precision and no environment variable affects it.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 from typing import NamedTuple
@@ -51,6 +49,8 @@ class RunReport(NamedTuple):
     flags: tuple[str, ...] = ()
 
     def to_json(self) -> str:
+        import json  # imported here: only --json and table print JSON
+
         # schema 1 keeps a "residual" key, null since no command reports one
         payload = {"schema_version": SCHEMA_VERSION, "residual": None, **self._asdict()}
         return json.dumps(payload, sort_keys=True)
@@ -180,6 +180,7 @@ _TABLE_OPS = [
     if "terms" not in params and op.partition("-")[0] not in _OWN_LINE
 ]
 _SEMIAXES, _PAIR = ("a", "b"), ("m", "n")
+_MAX_ROWS = 100_000  # a table's rows; documented sweeps make at most 100
 
 
 def _take(args: argparse.Namespace, op: str, names: tuple[str, ...]) -> dict:
@@ -226,8 +227,12 @@ def _sweep_values(start: float, stop: float, step: float) -> list[float]:
         raise DomainError(f"step must be positive, got {step!r}")
     if stop < start:
         raise DomainError(f"sweep range is empty: from {start!r} to {stop!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    # the row count less one, taken before any row is built; it is inf when
+    # the range overflows or the step underflows it
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_ROWS:
+        raise DomainError(f"sweep from {start!r} to {stop!r} step {step!r} makes more than {_MAX_ROWS} rows")
+    return [start + i * step for i in range(int(span) + 1)]
 
 
 def _row(point: dict[str, float], report: RunReport) -> dict[str, float]:
@@ -248,10 +253,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     sweep = _sweep_values(args.sweep_from, args.sweep_to, args.step)
     rows = [_row(p, _report(args.op, p)) for p in ({args.sweep: v, **fixed} for v in sweep)]
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(rows[0])
         writer.writerows([repr(x) for x in row.values()] for row in rows)
     else:
+        import json
+
         payload = {"op": args.op, "sweep": args.sweep, "rows": rows}
         print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, sort_keys=True))
     return 0

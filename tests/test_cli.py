@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from conicrect.cli import COMMANDS, _TABLE_OPS, main
+from conicrect import DomainError
+from conicrect.cli import COMMANDS, _MAX_ROWS, _TABLE_OPS, _sweep_values, main
 
 
 SWEEP = ["--from", "0.1", "--to", "0.5", "--step", "0.2"]
@@ -455,3 +456,25 @@ def test_tangent_length_table_reaches_the_major_vertex(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines()[-1] == "1.0,1.0,1e-09,0.0"
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        # the row count overflowed: an OverflowError traceback
+        ["--from=-1e308", "--to=1e308", "--step=1"],
+        # 9e11 rows, built until the process was killed
+        ["--from", "0", "--to", "0.9", "--step", "1e-12"],
+    ],
+)
+def test_oversized_sweep_is_one_domain_error_line(capsys, bounds):
+    assert main(["table", "--op", "ellint-K", "--sweep", "k", *bounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error:") and captured.err.count("\n") == 1
+
+
+def test_sweep_row_cap_is_exact():
+    assert len(_sweep_values(0.0, _MAX_ROWS - 1.0, 1.0)) == _MAX_ROWS
+    with pytest.raises(DomainError, match="more than 100000 rows"):
+        _sweep_values(0.0, float(_MAX_ROWS), 1.0)

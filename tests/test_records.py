@@ -58,7 +58,7 @@ CHECKED = {
 def test_the_samples_cover_every_public_record():
     public = {
         obj
-        for obj in map(vars(conicrect).get, conicrect.__all__)
+        for obj in (getattr(conicrect, name) for name in conicrect.__all__)
         if isinstance(obj, type) and issubclass(obj, tuple)
     }
     assert {type(record) for record in SAMPLES} == public | {RunReport}

@@ -373,10 +373,10 @@ def excess_infinity_landen(pair: LandenPair) -> float:
 
 
 def _eta1_integrand(pair: LandenPair):
-    m, n = pair.m, pair.n
+    s, d = pair.m + pair.n, pair.m - pair.n
 
     def f(tau: float) -> float:
-        return math.sqrt(((m + n - tau) * (m + n + tau)) / ((m - n - tau) * (m - n + tau)))
+        return math.sqrt(((s - tau) * (s + tau)) / ((d - tau) * (d + tau)))
 
     return f
 
@@ -451,13 +451,11 @@ def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:
         raise DomainError(f"need 0 < u0 <= u1 <= 1, got u0={u0!r}, u1={u1!r}")
     a2, b2 = H.a * H.a, H.b * H.b
 
-    def f(w: float) -> float:
+    def g(t: float) -> float:
+        w = t * t
         u = math.exp(-w)
         v = -math.expm1(-w) * (1.0 + u)
-        return math.sqrt(b2 + a2 * v) / (u * math.sqrt(v))
-
-    def g(t: float) -> float:
-        return 2.0 * t * f(t * t)
+        return 2.0 * t * (math.sqrt(b2 + a2 * v) / (u * math.sqrt(v)))
 
     try:  # g is never NaN, so the oracle's IntegrandError is an overflow
         return integrate(g, math.sqrt(-math.log(u1)), math.sqrt(-math.log(u0))).value

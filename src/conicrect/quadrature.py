@@ -38,32 +38,13 @@ class QuadratureResult(NamedTuple):
     converged: bool
 
 
-# 7-point Gauss / 15-point Kronrod pair on [-1, 1] (positive abscissae).
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
-)
+# 7-point Gauss / 15-point Kronrod pair on [-1, 1]: the Kronrod weights,
+# centre last.  The panel reads them twice and writes the rest as literals.
 _WGK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
 )
 
 
@@ -79,14 +60,25 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
     are summed again scaled by 2**-4, exactly for all but subnormal values,
     which leaves every sum finite; the value and error are scaled back, and
     ``f`` is not called again.
+
+    Work is saved in forms that give QUADPACK's doubles: the abscissae and
+    Gauss weights are literals, not a global unpacked per call; sums are
+    bound at most three to a line, as CPython builds a longer tuple first;
+    ``x - mean if x >= mean else mean - x`` is ``abs(x - mean)`` with no
+    call, as the two differences are exact negatives and NaN stays NaN; and
+    ``q ** 1.5 if q < 1.0 else 1.0`` is ``min(1.0, q ** 1.5)`` for q >= 0.
     """
-    x0, x1, x2, x3, x4, x5, x6, _ = _XGK
     w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
-    g0, g1, g2, g3 = _WG
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    d0, d1, d2, d3 = half * x0, half * x1, half * x2, half * x3
-    d4, d5, d6 = half * x4, half * x5, half * x6
+    # the positive Kronrod abscissae, scaled to the panel
+    d0 = half * 0.991455371120812639206854697526329
+    d1 = half * 0.949107912342758524526189684047851
+    d2 = half * 0.864864423359769072789712788640926
+    d3 = half * 0.741531185599394439863864773280788
+    d4 = half * 0.586087235467691130294144838258730
+    d5 = half * 0.405845151377397166906606412076961
+    d6 = half * 0.207784955007898467600689403773245
     fc = f(center)
     m0 = f(center - d0)
     p0 = f(center + d0)
@@ -102,18 +94,26 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
     p5 = f(center + d5)
     m6 = f(center - d6)
     p6 = f(center + d6)
-    s0, s1, s2, s3 = m0 + p0, m1 + p1, m2 + p2, m3 + p3
-    s4, s5, s6 = m4 + p4, m5 + p5, m6 + p6
+    s0, s1, s2 = m0 + p0, m1 + p1, m2 + p2
+    s3, s4, s5 = m3 + p3, m4 + p4, m5 + p5
+    s6 = m6 + p6
     resk = w7 * fc + w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4 + w5 * s5 + w6 * s6
-    resg = g3 * fc + g0 * s1 + g1 * s3 + g2 * s5
+    # the Gauss weights, centre first
+    resg = (
+        0.417959183673469387755102040816327 * fc + 0.129484966168869693270611432679082 * s1
+        + 0.279705391489276667901467771423780 * s3 + 0.381830050505118944950369775488975 * s5
+    )
     # QUADPACK-style scaled error estimate.
     mean = resk * 0.5
     resasc = (
-        w7 * abs(fc - mean)
-        + w0 * (abs(m0 - mean) + abs(p0 - mean)) + w1 * (abs(m1 - mean) + abs(p1 - mean))
-        + w2 * (abs(m2 - mean) + abs(p2 - mean)) + w3 * (abs(m3 - mean) + abs(p3 - mean))
-        + w4 * (abs(m4 - mean) + abs(p4 - mean)) + w5 * (abs(m5 - mean) + abs(p5 - mean))
-        + w6 * (abs(m6 - mean) + abs(p6 - mean))
+        w7 * (fc - mean if fc >= mean else mean - fc)
+        + w0 * ((m0 - mean if m0 >= mean else mean - m0) + (p0 - mean if p0 >= mean else mean - p0))
+        + w1 * ((m1 - mean if m1 >= mean else mean - m1) + (p1 - mean if p1 >= mean else mean - p1))
+        + w2 * ((m2 - mean if m2 >= mean else mean - m2) + (p2 - mean if p2 >= mean else mean - p2))
+        + w3 * ((m3 - mean if m3 >= mean else mean - m3) + (p3 - mean if p3 >= mean else mean - p3))
+        + w4 * ((m4 - mean if m4 >= mean else mean - m4) + (p4 - mean if p4 >= mean else mean - p4))
+        + w5 * ((m5 - mean if m5 >= mean else mean - m5) + (p5 - mean if p5 >= mean else mean - p5))
+        + w6 * ((m6 - mean if m6 >= mean else mean - m6) + (p6 - mean if p6 >= mean else mean - p6))
     )
     if not math.isfinite(resasc):
         nodes = (
@@ -133,7 +133,8 @@ def _gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> tuple[flo
     resasc *= abs(half)
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        q = 200.0 * err / resasc
+        err = resasc * (q ** 1.5 if q < 1.0 else 1.0)
     return resk * half, err
 
 

@@ -57,7 +57,7 @@ class _Conic(_Checked, _Semiaxes):
             raise DomainError(
                 f"{cls.__name__.lower()} semiaxes must be positive and finite, got a={a!r}, b={b!r}"
             )
-        return super().__new__(cls, a, b)
+        return tuple.__new__(cls, (a, b))
 
 
 class Hyperbola(_Conic):
@@ -111,7 +111,7 @@ class LandenPair(_Checked, _Coefficients):
     def __new__(cls, m: float, n: float) -> LandenPair:
         if not 0.0 < n < m < math.inf:
             raise DomainError(f"LandenPair requires finite m > n > 0, got m={m!r}, n={n!r}")
-        return super().__new__(cls, m, n)
+        return tuple.__new__(cls, (m, n))
 
     @property
     def hyperbola(self) -> Hyperbola:
@@ -231,13 +231,13 @@ def ellipse_tangent_length(E: Ellipse, x: float) -> float:
     return g * x * math.sqrt(num / den) if den else 0.0
 
 
-def _abscissae(pair: LandenPair, t: float) -> tuple[float, float]:
+def _abscissae(pair: LandenPair, t: float, g: float) -> tuple[float, float]:
     """Roots of 2 g x^2 = t^2 + g m^2 -/+ sqrt(((m-n)^2 - t^2)((m+n)^2 - t^2))
-    for a t already checked; the smaller root is evaluated in rationalized
-    form to stay accurate near t = 0.  A g s that underflows to 0, or that is
-    not finite because the radicand overflows, is a DomainError."""
+    for a t already checked and the inner ellipse's g; the smaller root is
+    evaluated in rationalized form to stay accurate near t = 0.  A g s that
+    underflows to 0, or that is not finite because the radicand overflows,
+    is a DomainError."""
     m, n = pair.m, pair.n
-    g = pair.ellipse_inner.g
     gm2 = g * m * m
     rad = max((m - n - t) * (m - n + t) * (m + n - t) * (m + n + t), 0.0)
     root = math.sqrt(rad)
@@ -251,14 +251,16 @@ def _abscissae(pair: LandenPair, t: float) -> tuple[float, float]:
     return math.sqrt(x2_minus), math.sqrt(min(x2_plus, m * m))
 
 
-def _tangent_point(pair: LandenPair, t: float) -> tuple[float, float, float]:
+def _tangent_point(pair: LandenPair, t: float) -> tuple[float, float, float, float]:
     """The hyperbola point and the two inner-ellipse abscissae x- <= x+ whose
     tangent length is t, for t strictly inside (0, m - n): the point as its
-    pedal distance p = sqrt((m-n)^2 - t^2), returned as (p, x-, x+)."""
+    pedal distance p = sqrt((m-n)^2 - t^2), returned as (p, x-, x+, g) with
+    g the inner ellipse's squared eccentricity, which its arcs read too."""
     m, n = pair.m, pair.n
     if not 0.0 < t < m - n:
         raise DomainError(f"t must lie in (0, m-n) = (0, {m - n!r}), got {t!r}")
-    return (math.sqrt((m - n - t) * (m - n + t)), *_abscissae(pair, t))
+    g = pair.ellipse_inner.g
+    return (math.sqrt((m - n - t) * (m - n + t)), *_abscissae(pair, t, g), g)
 
 
 def _angle(a: float, x: float) -> float:
@@ -389,13 +391,13 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     to the smaller abscissa sharing tangent length t, in the angle form that
     fagnano_check also integrates.
     """
-    p, x_minus, _ = _tangent_point(pair, t)
+    p, x_minus, _, g = _tangent_point(pair, t)
     H = pair.hyperbola
     t_hyp = hyperbola_tangent_length(H, p)
     hyp_arc = hyperbola_arc(H, p)
     eta1 = integrate(_eta1_integrand(pair), 0.0, t).value
-    eta2 = _inner_arc(pair, 0.0, x_minus)
-    breakdown = ExcessBreakdown(hyp_arc=hyp_arc, t_hyp=t_hyp, t=t, eta1=eta1, eta2=eta2)
+    eta2 = _inner_arc(pair.m, g, 0.0, _angle(pair.m, x_minus))
+    breakdown = ExcessBreakdown(hyp_arc, t_hyp, t, eta1, eta2)
     report = ResidualReport(
         "landen-theorem",
         {"m": pair.m, "n": pair.n, "t": t},
@@ -405,18 +407,17 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     return breakdown, report
 
 
-def _inner_arc(pair: LandenPair, x0: float, x1: float) -> float:
-    """The oracle's arc of the inner ellipse between abscissae x0 <= x1, in
-    the angle form x = m sin(theta): ds = m sqrt(1 - g sin^2 theta) dtheta is
-    smooth at the vertex, where the x form sqrt((m^2 - g x^2)/(m^2 - x^2))
-    cannot recover m - x."""
-    m, g = pair.m, pair.ellipse_inner.g
+def _inner_arc(m: float, g: float, theta0: float, theta1: float) -> float:
+    """The oracle's arc of the inner ellipse x = m sin(theta), of squared
+    eccentricity g, between angles theta0 <= theta1: ds = m sqrt(1 - g
+    sin^2 theta) dtheta is smooth at the vertex, where the x form
+    sqrt((m^2 - g x^2)/(m^2 - x^2)) cannot recover m - x."""
 
     def ds(theta: float) -> float:
         s = math.sin(theta)
         return m * math.sqrt(1.0 - g * s * s)
 
-    return integrate(ds, _angle(m, x0), _angle(m, x1)).value
+    return integrate(ds, theta0, theta1).value
 
 
 def fagnano_check(pair: LandenPair, t: float) -> ResidualReport:
@@ -427,9 +428,11 @@ def fagnano_check(pair: LandenPair, t: float) -> ResidualReport:
     t -> m - n the points coincide at the maximal-tangent point.  Both arcs
     come from the oracle on the angle form of the arc differential.
     """
-    _, x_minus, x_plus = _tangent_point(pair, t)
-    lhs = _inner_arc(pair, 0.0, x_minus)
-    rhs = t + _inner_arc(pair, x_plus, pair.m)
+    _, x_minus, x_plus, g = _tangent_point(pair, t)
+    m = pair.m
+    # the co-vertex and the major vertex sit at the angles asin(0) and asin(1)
+    lhs = _inner_arc(m, g, 0.0, _angle(m, x_minus))
+    rhs = t + _inner_arc(m, g, _angle(m, x_plus), 0.5 * math.pi)
     return ResidualReport("fagnano", {"m": pair.m, "n": pair.n, "t": t}, lhs, rhs)
 
 

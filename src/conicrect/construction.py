@@ -55,7 +55,7 @@ def _normal(pair: LandenPair, pt: tuple[float, float]) -> tuple[float, float]:
 
 def construction_points(pair: LandenPair, t: float) -> ConstructionPoints:
     """Solve every point of the figure from (m, n, t) alone."""
-    p, x_e, _ = _tangent_point(pair, t)
+    p, x_e, _, _ = _tangent_point(pair, t)
     m, n = pair.m, pair.n
     hyp = pair.hyperbola
     a, b = hyp.a, hyp.b

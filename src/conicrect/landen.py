@@ -60,7 +60,7 @@ class LagrangeParams(_Checked, _Step):
     def __new__(cls, p: float, q: float) -> LagrangeParams:
         if not 0.0 < q <= p < math.inf:
             raise DomainError(f"LagrangeParams requires 0 < q <= p < inf, got p={p!r}, q={q!r}")
-        self = super().__new__(cls, p, q)
+        self = tuple.__new__(cls, (p, q))
         if not (self.p1 < math.inf and self.q1 < math.inf):
             raise DomainError(f"LagrangeParams means overflow, got p={p!r}, q={q!r}")
         if p * q < sys.float_info.min:

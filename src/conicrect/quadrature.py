@@ -15,8 +15,8 @@ splits, identical evaluation counts, and identical results.
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, IntegrandError
@@ -170,24 +170,26 @@ def integrate(f: Callable[[float], float], lo: float, hi: float) -> QuadratureRe
         r = integrate(f, hi, lo)
         return QuadratureResult(-r.value, r.error_estimate, r.evaluations, r.converged)
 
-    abs_tol, rel_tol, max_evaluations = _ABS_TOL, _REL_TOL, _MAX_EVALUATIONS
-    heappush, heappop, ulp = heapq.heappush, heapq.heappop, math.ulp
     total_value, total_err = _gauss_kronrod(f, lo, hi)
     heap: list[tuple[float, float, float, int, float, float]] = [
         (-total_err, lo, hi, 0, total_value, total_err)
     ]
     evaluations = 15
     tie = 1
-    frozen_value = 0.0
-    frozen_err = 0.0
+    frozen_value = frozen_err = 0.0
 
-    while heap:
-        if total_err + frozen_err <= max(abs_tol, rel_tol * abs(total_value + frozen_value)):
-            break
-        if evaluations >= max_evaluations:
+    while True:
+        value = total_value + frozen_value
+        err = total_err + frozen_err
+        # max(_ABS_TOL, _REL_TOL * |value|) with no call; a NaN gives _ABS_TOL, as max does
+        target = _REL_TOL * (value if value >= 0.0 else -value)
+        converged = err <= (target if target > _ABS_TOL else _ABS_TOL)
+        if converged or not heap or evaluations >= _MAX_EVALUATIONS:
             break
         _, a, b, _, v, e = heappop(heap)
-        if b - a <= 16.0 * ulp(max(abs(a), abs(b), 1.0)):
+        # a < b, so max(|a|, |b|, 1) is the larger of b, -a and 1
+        w = b if b > -a else -a
+        if b - a <= 16.0 * math.ulp(w if w > 1.0 else 1.0):
             # cannot be split further at this precision
             frozen_value += v
             frozen_err += e
@@ -204,8 +206,6 @@ def integrate(f: Callable[[float], float], lo: float, hi: float) -> QuadratureRe
         heappush(heap, (-e2, mid, b, tie + 1, v2, e2))
         tie += 2
 
-    value = total_value + frozen_value
-    err = total_err + frozen_err
     if not math.isfinite(value):
         raise IntegrandError(f"the integral over [{lo!r}, {hi!r}] overflows")
-    return QuadratureResult(value, err, evaluations, err <= max(abs_tol, rel_tol * abs(value)))
+    return QuadratureResult(value, err, evaluations, converged)

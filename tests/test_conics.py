@@ -293,11 +293,13 @@ class TestTangentLength:
 
 class TestAbscissae:
     def test_zero_tangent(self):
-        xm, xp = conics._abscissae(LandenPair(2.0, 1.0), 0.0)
+        pair = LandenPair(2.0, 1.0)
+        xm, xp = conics._abscissae(pair, 0.0, pair.ellipse_inner.g)
         assert xm == 0.0 and xp == 2.0
 
     def test_double_root(self):
-        xm, xp = conics._abscissae(LandenPair(2.0, 1.0), 1.0)
+        pair = LandenPair(2.0, 1.0)
+        xm, xp = conics._abscissae(pair, 1.0, pair.ellipse_inner.g)
         assert xm == pytest.approx(math.sqrt(8.0 / 3.0), rel=1e-14)
         assert xm == pytest.approx(xp, rel=1e-12)
 
@@ -305,7 +307,7 @@ class TestAbscissae:
         pair = LandenPair(2.0, 1.0)
         E = pair.ellipse_inner
         for t in (0.1, 0.5, 0.9, 0.999):
-            xm, xp = conics._abscissae(pair, t)
+            xm, xp = conics._abscissae(pair, t, E.g)
             assert xm <= xp
             assert ellipse_tangent_length(E, xm) == pytest.approx(t, abs=1e-12)
             assert ellipse_tangent_length(E, xp) == pytest.approx(t, abs=1e-12)
@@ -314,7 +316,7 @@ class TestAbscissae:
         # near t = 0 the plus root sits within ~t^2 of the vertex, where one
         # ulp of x moves t by ~1e-9; the minus root stays fully conditioned
         pair = LandenPair(2.0, 1.0)
-        xm, xp = conics._abscissae(pair, 1e-6)
+        xm, xp = conics._abscissae(pair, 1e-6, pair.ellipse_inner.g)
         assert ellipse_tangent_length(pair.ellipse_inner, xm) == pytest.approx(
             1e-6, abs=1e-12
         )
@@ -336,8 +338,9 @@ class TestAbscissae:
         ],
     )
     def test_g_s_out_of_range_is_a_domain_error(self, m, n, t):
+        pair = LandenPair(m, n)
         with pytest.raises(DomainError, match="g s"):
-            conics._abscissae(LandenPair(m, n), t)
+            conics._abscissae(pair, t, pair.ellipse_inner.g)
 
 
 class TestEllipseArc:
@@ -748,8 +751,38 @@ ETA1_BITS = [
     ((0.8130476119347064, 0.0026966009337085492, 0.1679788203594303), "0.16911316793768186"),
 ]
 
+# repr of hyperbola_arc(Hyperbola(a, b), p) and of excess_finite(Hyperbola(a,
+# b), p), recorded before the oracle left after a first panel that meets its
+# contract: the first draws of each on the benchmark's rectify stream at seed 2.
+HYPERBOLA_ARC_BITS = [
+    ((0.22321861279406285, 0.22857523732738194, 4.8459085349779474e-05), "1052.761485742372"),
+    ((0.22789428822771723, 0.02557169344651413, 1.4571449572167564e-09), "3999356.771084854"),
+    ((5.610440826876499, 77.22013655436731, 1.3291662313669724e-05), "32594794.56440159"),
+    ((0.7662729509505938, 0.0350040497130245, 1.314107591796152e-05), "2040.3679713041904"),
+    ((7.347632123073211, 24.98808518306868, 1.5749545074767646), "112.45576588740761"),
+    ((8.166798399018322, 103.57546215969006, 0.00034730526187438655), "2435551.186227421"),
+]
+EXCESS_FINITE_BITS = [
+    ((1.9869357281798372, 4.608381282052129, 0.19994177617321574), "0.6304446896142818"),
+    ((3.06927842928339, 3.2063194609223946, 1.3040819552028991e-06), "1.7908396597179572"),
+    ((2.724413687529228, 1.0481226965011903, 5.219998789988371e-08), "2.36613885388752"),
+    ((5.413275803900439, 294.57038235187497, 0.010422529353101593), "0.07812069887237827"),
+    ((1.7791174706913153, 0.16305019825198278, 0.0004366900717435378), "1.754703060968189"),
+    ((1.1602770055627454, 0.03663726666843202, 6.520583670696422e-09), "1.1577664605940647"),
+]
+
 
 class TestIntegrandBits:
+    @pytest.mark.parametrize("args,expected", HYPERBOLA_ARC_BITS)
+    def test_hyperbola_arc(self, args, expected):
+        a, b, p = args
+        assert repr(hyperbola_arc(Hyperbola(a, b), p)) == expected
+
+    @pytest.mark.parametrize("args,expected", EXCESS_FINITE_BITS)
+    def test_excess_finite(self, args, expected):
+        a, b, p = args
+        assert repr(excess_finite(Hyperbola(a, b), p)) == expected
+
     @pytest.mark.parametrize("args,expected", SIMPSON_BITS)
     def test_simpson_arc(self, args, expected):
         a, b, u0, u1 = args

@@ -320,8 +320,28 @@ class TestBorwein:
             assert rep.lhs == complete_E(k)
             assert rep.rhs == 0.5 * (1.0 + k) * complete_E(modulus_ascend(k)) + 0.5 * (1.0 - k * k) * complete_K(k)
 
+# repr of both sides of check_agm_invariance(x, p, q), recorded before the
+# oracle left after a first panel that meets its contract: the first draws on
+# the benchmark's rectify stream at seed 2, four at x = 1/p, where x p >=
+# 1 - 1e-12 takes the singular end, then four below it.
+INVARIANCE_BITS = [
+    ((1.4804506080170685, 0.6754700187798975, 0.48294675643950613), ("2.759081711189559", "2.75908171118956")),
+    ((0.773244955575648, 1.293251243075414, 0.22658155367610755), ("1.2240957421581344", "1.2240957421581349")),
+    ((1.741400704816011, 0.5742503705404528, 0.06144520450438439), ("2.7432661217868692", "2.7432661217868697")),
+    ((0.8992977225581451, 1.111978797361342, 0.1624111160126005), ("1.4202389076071686", "1.4202389076071684")),
+    ((0.21743700702608912, 1.7522630521916562, 1.0286704045363266), ("0.2250176238816332", "0.22501762388163327")),
+    ((1.0807806046754374, 0.8467563933494353, 0.6141307218191192), ("1.524987377854732", "1.5249873778547332")),
+    ((0.7674537258677158, 1.205978199601267, 0.5661279472856735), ("1.0225619167911695", "1.0225619167911697")),
+    ((0.617981214939712, 1.1050626210438201, 0.8589988669721916), ("0.7203446404085155", "0.7203446404085156")),
+]
+
 
 class TestAgmInvariance:
+    @pytest.mark.parametrize("args,expected", INVARIANCE_BITS)
+    def test_bits(self, args, expected):
+        rep = check_agm_invariance(*args)
+        assert (repr(rep.lhs), repr(rep.rhs)) == expected
+
     def test_zero_x(self):
         rep = check_agm_invariance(0.0, 1.0, 0.5)
         assert rep.lhs == rep.rhs == 0.0

@@ -141,7 +141,8 @@ def _theta(a, p):
 # Every bit the oracle reports, recorded before its panel was unrolled:
 # (repr(value), repr(error_estimate), evaluations, converged).  The
 # singular cases carry the caller's substitution x = edge -/+ v^2 and were
-# recorded when the oracle made it on request.
+# recorded when the oracle made it on request; the one-panel cases were
+# recorded before it left after a first panel that meets the contract.
 PINNED = {
     "exp": (
         (math.exp, 0.0, 1.0),
@@ -178,6 +179,28 @@ PINNED = {
     "budget-exhausted": (
         (lambda t: abs(t - 1.0 / 3.0), 0.0, 1.0, TIGHT_BUDGET),
         ("0.2778201309957064", "0.009544838632354474", 75, False),
+    ),
+    "one-panel": (
+        (lambda t: 1.0 / (1.0 + t * t), 0.0, 0.5),
+        ("0.46364760900080615", "4.0742653561789426e-16", 15, True),
+    ),
+    # the same first panel misses a contract set at call time
+    "one-panel-tight-contract": (
+        (lambda t: 1.0 / (1.0 + t * t), 0.0, 0.5, {"_ABS_TOL": 1e-16, "_REL_TOL": 1e-16}),
+        ("0.46364760900080615", "2.3294179792273662e-20", 45, True),
+    ),
+    "one-panel-negative": (
+        (lambda t: -math.log1p(t), 0.0, 0.5),
+        ("-0.10819766216224658", "1.9024407928118017e-19", 15, True),
+    ),
+    # the panel's sum is -0.0, and the value is -0.0 + 0.0 = 0.0
+    "one-panel-negative-zero": (
+        (lambda t: -0.0, 0.0, 1.0),
+        ("0.0", "0.0", 15, True),
+    ),
+    "reversed-one-panel": (
+        (lambda t: 1.0 / (1.0 + t * t), 0.5, 0.0),
+        ("-0.46364760900080615", "4.0742653561789426e-16", 15, True),
     ),
 }
 
@@ -270,3 +293,6 @@ def test_finite_values_that_overflow_raise():
     # every value is finite, but the integral is not
     with pytest.raises(IntegrandError, match="overflows"):
         integrate(lambda t: 1e300, 0.0, 1e10)
+    # an infinite first panel passes the contract test at once, and still raises
+    with pytest.raises(IntegrandError, match="overflows"):
+        integrate(lambda t: 1.5e308, 0.0, 2.0)

@@ -35,6 +35,7 @@ _MAX_STEPS = 60
 _MAX_WEIGHT = 2.0 ** _MAX_STEPS  # the walk's weight 2^n at pair n = _MAX_STEPS
 
 _SERIES_TERM_CAP = 200
+_HALF_PI = 0.5 * math.pi
 
 
 class AgmSequence(NamedTuple):
@@ -69,7 +70,7 @@ def _check_modulus(k: float, *, allow_one: bool = False) -> None:
 
 
 def _check_amplitude(phi: float) -> None:
-    if not 0.0 <= phi <= 0.5 * math.pi:
+    if not 0.0 <= phi <= _HALF_PI:
         raise DomainError(f"amplitude phi must lie in [0, pi/2], got {phi!r}")
 
 
@@ -80,9 +81,9 @@ def complement(k: float) -> float:
 
 def _agm_steps(
     p: float, q: float, phi: float | None = None, record: list[tuple[float, float]] | None = None
-) -> tuple[float, float, float | None, float, float]:
-    """(limit, tail, phi, sines, weight) of the AGM from (p, q), p >= q > 0,
-    with Legendre's amplitudes from phi, in one loop.
+) -> tuple[float, float, float, float]:
+    """(F, limit, tail, sines) of the AGM from (p, q), p >= q > 0, with
+    Legendre's amplitudes from phi, in one loop.
 
     Each step takes the pair (p_n, q_n) to its means and, for a phi, the
     amplitude phi_n to phi_(n+1) = phi_n + arctan((q_n/p_n) tan(phi_n)) on
@@ -93,12 +94,12 @@ def _agm_steps(
     its sum term and the next step.  Over the pairs n = 0 .. N, the last
     included, with c_(n+1) = (p_n - q_n)/2:
 
-    - limit = (p_N + q_N)/2 = M(p, q);
+    - F = int_0^phi dt / sqrt(p^2 cos^2 t + q^2 sin^2 t) = phi_(N+1) / (2^(N+1) M),
+      or its value pi / (2M) at phi = pi/2 for phi None: F(phi, k) and K(k)
+      for (p, q) = (1, k');
+    - limit = M = (p_N + q_N)/2 = M(p, q);
     - tail = sum_(n>=1) 2^(n-1) c_n^2, Gauss's sum;
-    - phi = phi_(N+1), None for phi None, with
-      int_0^phi dt / sqrt(p^2 cos^2 t + q^2 sin^2 t) = phi_(N+1) / (2^(N+1) M);
-    - sines = sum_(n>=1) c_n sin(phi_n), 0 for phi None;
-    - weight = 2^N.
+    - sines = sum_(n>=1) c_n sin(phi_n), 0 for phi None.
 
     ``record``, when given, receives every pair.  The walk stops after the
     pair with p_n - q_n <= max(_STOP_ABS, _STOP_REL * p_n), or with a
@@ -122,7 +123,9 @@ def _agm_steps(
             s = math.sin(phi)
             sines += c * s
         if diff <= _STOP_ABS or diff <= _STOP_REL * p or diff >= prev_diff:
-            return 0.5 * (p + q), tail, phi, sines, weight
+            limit = 0.5 * (p + q)
+            F = 0.5 * math.pi / limit if phi is None else phi / (2.0 * weight * limit)
+            return F, limit, tail, sines
         if weight >= _MAX_WEIGHT:
             raise ConvergenceError(f"agm failed to converge within {_MAX_STEPS} iterations")
         prev_diff = diff
@@ -151,28 +154,15 @@ def agm(p0: float, q0: float) -> AgmSequence:
     if q < sys.float_info.min:
         raise DomainError(f"agm requires q0/p0 in the normal range, got p0={p0!r}, q0={q0!r}")
     scaled = []
-    limit = _agm_steps(p, q, None, scaled)[0]
+    limit = _agm_steps(p, q, None, scaled)[1]
     iterates = tuple([(math.ldexp(pn, e), math.ldexp(qn, e)) for pn, qn in scaled])
-    return AgmSequence(p0, q0, iterates, math.ldexp(limit, e), len(scaled) - 1, swapped)
-
-
-def _legendre(kp: float, phi: float | None = None) -> tuple[float, float, float]:
-    """(F, tail, sines) from one walk of ``_agm_steps`` over the AGM of (1, k'):
-    F(phi, k) = phi_(N+1) / (2^(N+1) M), or K = pi / (2M) for phi None, and
-    E = F (1 - k^2/2 - tail) + sines.  The walk takes k', not k, so a caller
-    that knows k' exactly, as (1 - k)/(1 + k) for the ascended modulus, keeps
-    it where k itself would round to 1.
-    """
-    limit, tail, phi, sines, weight = _agm_steps(1.0, kp, phi)
-    if phi is None:
-        return 0.5 * math.pi / limit, tail, sines
-    return phi / (2.0 * weight * limit), tail, sines
+    return tuple.__new__(AgmSequence, (p0, q0, iterates, math.ldexp(limit, e), len(scaled) - 1, swapped))
 
 
 def _second_kind(k: float, phi: float | None = None) -> tuple[float, float]:
     """(E(phi, k), F(phi, k)), or (E(k), K(k)) for phi None, from one walk
-    of ``_legendre``."""
-    F, tail, sines = _legendre(complement(k), phi)
+    of ``_agm_steps`` over the AGM of (1, k'): E = F (1 - k^2/2 - tail) + sines."""
+    F, _, tail, sines = _agm_steps(1.0, complement(k), phi)
     return F * (1.0 - (0.5 * k * k + tail)) + sines, F
 
 
@@ -181,8 +171,9 @@ def complete_K(k: float) -> float:
 
     Diverges at k = 1, which is rejected.
     """
-    _check_modulus(k)
-    return _legendre(complement(k))[0]
+    if not 0.0 <= k < 1.0:
+        _check_modulus(k)
+    return _agm_steps(1.0, complement(k))[0]
 
 
 def complete_E(k: float) -> float:
@@ -191,17 +182,18 @@ def complete_E(k: float) -> float:
     Gauss-Legendre: E = K (1 - sum_n 2^(n-1) c_n^2) over the AGM iterates
     (a_n, b_n) of (1, k'), with c_0 = k and c_(n+1) = (a_n - b_n)/2.
     """
-    _check_modulus(k, allow_one=True)
-    if k == 1.0:
-        return 1.0
+    if not 0.0 <= k < 1.0:
+        _check_modulus(k, allow_one=True)
+        return 1.0  # the one k that passes is 1
     return _second_kind(k)[0]
 
 
 def incomplete_F(phi: float, k: float) -> float:
     """Incomplete elliptic integral of the first kind F(phi, k), 0 <= k < 1."""
-    _check_amplitude(phi)
-    _check_modulus(k)
-    return _legendre(complement(k), phi)[0]
+    if not (0.0 <= phi <= _HALF_PI and 0.0 <= k < 1.0):
+        _check_amplitude(phi)
+        _check_modulus(k)
+    return _agm_steps(1.0, complement(k), phi)[0]
 
 
 def incomplete_E(phi: float, k: float) -> float:
@@ -211,10 +203,10 @@ def incomplete_E(phi: float, k: float) -> float:
     AGM with amplitudes of ``incomplete_F``; at k = 1 the integral is
     sin(phi) in closed form.
     """
-    _check_amplitude(phi)
-    _check_modulus(k, allow_one=True)
-    if k == 1.0:
-        return math.sin(phi)
+    if not (0.0 <= phi <= _HALF_PI and 0.0 <= k < 1.0):
+        _check_amplitude(phi)
+        _check_modulus(k, allow_one=True)
+        return math.sin(phi)  # k = 1
     return _second_kind(k, phi)[0]
 
 
@@ -239,7 +231,7 @@ def series_KE(kind: str, k: float, terms: int) -> float:
     return 0.5 * math.pi * total
 
 
-_LEMNISCATE_M = _agm_steps(math.sqrt(2.0), 1.0)[0]  # M(1, sqrt(2)), walked once at import
+_LEMNISCATE_M = _agm_steps(math.sqrt(2.0), 1.0)[1]  # M(1, sqrt(2)), walked once at import
 
 
 def lemniscate(radius: float) -> LemniscateArcs:
@@ -257,4 +249,4 @@ def lemniscate(radius: float) -> LemniscateArcs:
     full_arc = 4.0 * quarter_arc
     if full_arc == math.inf:
         raise DomainError(f"the full arc overflows at radius {radius!r}")
-    return LemniscateArcs(quarter_arc, full_arc, 1.0 / _LEMNISCATE_M)
+    return tuple.__new__(LemniscateArcs, (quarter_arc, full_arc, 1.0 / _LEMNISCATE_M))

@@ -16,7 +16,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .agm import _legendre, complete_E, incomplete_E
+from .agm import _agm_steps, complete_E, incomplete_E
 from .errors import DomainError, IntegrandError
 from .landen import ResidualReport, _Checked
 from .quadrature import integrate
@@ -291,12 +291,16 @@ def excess_finite(H: Hyperbola, p: float) -> float:
     theta = acos(p/a).  The integrand is smooth and positive, so nothing
     cancels as p -> 0 and the tolerance applies to the excess itself.
     Strictly increasing as p decreases; tends to the closed-form limit as
-    p -> 0.  Semiaxes whose a^2 + b^2 overflows raise DomainError.
+    p -> 0.  Semiaxes whose a^2 + b^2 overflows raise DomainError, as does
+    an a^2 below the smallest normal double, where the integrand's
+    a^2 cos^2(phi) loses its bits to underflow.
     """
     _check_pedal(H, p)
     a2, b2 = H.a * H.a, H.b * H.b
     if not a2 + b2 < math.inf:
         raise DomainError(f"a^2 + b^2 overflows, got a={H.a!r}, b={H.b!r}")
+    if a2 < sys.float_info.min:
+        raise DomainError(f"a^2 underflows, got a={H.a!r}, b={H.b!r}")
     theta = math.atan2(math.sqrt((H.a - p) * (H.a + p)), p)
 
     def f(phi: float) -> float:
@@ -319,7 +323,7 @@ def excess_infinity_closed(H: Hyperbola) -> float:
     k, kp = H.modulus, H.b / c
     if kp == 0.0:
         raise DomainError(f"b/a underflows, got a={H.a!r}, b={H.b!r}")
-    K, tail, _ = _legendre(kp)
+    K, _, tail, _ = _agm_steps(1.0, kp)
     excess = c * K * (0.5 * k * k - tail)
     if not math.isfinite(excess):  # c K overflows, and the bracket may underflow to 0
         raise DomainError(f"c K (k^2/2 - tail) overflows, got a={H.a!r}, b={H.b!r}")
@@ -398,11 +402,9 @@ def landen_theorem_check(pair: LandenPair, t: float) -> tuple[ExcessBreakdown, R
     eta1 = integrate(_eta1_integrand(pair), 0.0, t).value
     eta2 = _inner_arc(pair.m, g, 0.0, _angle(pair.m, x_minus))
     breakdown = ExcessBreakdown(hyp_arc, t_hyp, t, eta1, eta2)
-    report = ResidualReport(
-        "landen-theorem",
-        {"m": pair.m, "n": pair.n, "t": t},
-        hyp_arc,
-        t_hyp + 2.0 * t + eta1 - 4.0 * eta2,
+    report = tuple.__new__(
+        ResidualReport,
+        ("landen-theorem", {"m": pair.m, "n": pair.n, "t": t}, hyp_arc, t_hyp + 2.0 * t + eta1 - 4.0 * eta2),
     )
     return breakdown, report
 
@@ -433,7 +435,7 @@ def fagnano_check(pair: LandenPair, t: float) -> ResidualReport:
     # the co-vertex and the major vertex sit at the angles asin(0) and asin(1)
     lhs = _inner_arc(m, g, 0.0, _angle(m, x_minus))
     rhs = t + _inner_arc(m, g, _angle(m, x_plus), 0.5 * math.pi)
-    return ResidualReport("fagnano", {"m": pair.m, "n": pair.n, "t": t}, lhs, rhs)
+    return tuple.__new__(ResidualReport, ("fagnano", {"m": pair.m, "n": pair.n, "t": t}, lhs, rhs))
 
 
 def simpson_arc(H: Hyperbola, u0: float, u1: float) -> float:

@@ -14,7 +14,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .agm import _check_amplitude, _check_modulus, _legendre, _second_kind, complete_E, incomplete_F
+from .agm import _HALF_PI, _agm_steps, _check_amplitude, _check_modulus, _second_kind, complete_E, incomplete_F
 from .errors import DomainError
 from .quadrature import integrate
 
@@ -96,7 +96,8 @@ class ResidualReport(NamedTuple):
 
 def modulus_ascend(k: float) -> float:
     """Ascending map k -> 2 sqrt(k)/(1+k); fixed points at 0 and 1."""
-    _check_modulus(k, allow_one=True)
+    if not 0.0 <= k <= 1.0:
+        _check_modulus(k, allow_one=True)
     return 2.0 * math.sqrt(k) / (1.0 + k)
 
 
@@ -111,10 +112,11 @@ def amplitude_inverse(phi: float, k: float) -> float:
     1 - y = (1 - k) + 2 k sin^2((pi/2 - phi)/2), which does not cancel as
     y -> 1; the complete case phi = pi/2 gives pi/4 + arcsin(k)/2.
     """
-    _check_amplitude(phi)
-    _check_modulus(k)
+    if not (0.0 <= phi <= _HALF_PI and 0.0 <= k < 1.0):
+        _check_amplitude(phi)
+        _check_modulus(k)
     y = k * math.sin(phi)
-    half_gap = math.sin(0.5 * (0.5 * math.pi - phi))
+    half_gap = math.sin(0.5 * (_HALF_PI - phi))
     one_minus_y = (1.0 - k) + 2.0 * k * half_gap * half_gap
     return 0.5 * (phi + math.atan2(y, math.sqrt(one_minus_y * (1.0 + y))))
 
@@ -161,18 +163,18 @@ def check_gleichung(phi: float, k: float) -> ResidualReport:
     """
     lhs = incomplete_F(phi, k)
     phi_hat = amplitude_inverse(phi, k)
-    rhs = 2.0 / (1.0 + k) * _legendre((1.0 - k) / (1.0 + k), phi_hat)[0]
-    return ResidualReport("gleichung", {"phi": phi, "k": k}, lhs, rhs)
+    rhs = 2.0 / (1.0 + k) * _agm_steps(1.0, (1.0 - k) / (1.0 + k), phi_hat)[0]
+    return tuple.__new__(ResidualReport, ("gleichung", {"phi": phi, "k": k}, lhs, rhs))
 
 
 def check_borwein(k: float) -> ResidualReport:
     """Residual of E(k) = (1+k)/2 E(2 sqrt(k)/(1+k)) + (1-k^2)/2 K(k), with
     E(k) and K(k) from one walk."""
-    _check_modulus(k)
+    if not 0.0 <= k < 1.0:
+        _check_modulus(k)
     lhs, K = _second_kind(k)
-    k_hat = modulus_ascend(k)
-    rhs = 0.5 * (1.0 + k) * complete_E(k_hat) + 0.5 * (1.0 - k * k) * K
-    return ResidualReport("borwein", {"k": k}, lhs, rhs)
+    rhs = 0.5 * (1.0 + k) * complete_E(modulus_ascend(k)) + 0.5 * (1.0 - k * k) * K
+    return tuple.__new__(ResidualReport, ("borwein", {"k": k}, lhs, rhs))
 
 
 def _sine_form_integrand(p: float, q: float):
@@ -211,6 +213,4 @@ def check_agm_invariance(x: float, p: float, q: float) -> ResidualReport:
     lhs = integrate(_sine_form_integrand(p, q), 0.0, theta)
     theta1 = math.asin(min(params.p1 * s, 1.0))
     rhs = integrate(_sine_form_integrand(params.p1, params.q1), 0.0, theta1)
-    return ResidualReport(
-        "agm-invariance", {"x": x, "p": p, "q": q}, lhs.value, rhs.value
-    )
+    return tuple.__new__(ResidualReport, ("agm-invariance", {"x": x, "p": p, "q": q}, lhs.value, rhs.value))

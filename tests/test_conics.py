@@ -420,6 +420,19 @@ class TestExcess:
         vals = [excess_finite(H, p) for p in (0.9, 0.7, 0.5, 0.3, 0.1)]
         assert all(v0 < v1 for v0, v1 in zip(vals, vals[1:]))
 
+    def test_finite_subnormal_square_is_a_domain_error(self):
+        # a^2 below the smallest normal double: these returned 0.0 for true
+        # excesses of 9.41e-164 and 8.16e-182, and 2^-520 was 8e-12 off
+        for e in (540, 600, 520):
+            a = 2.0**-e
+            with pytest.raises(DomainError, match="a\\^2 underflows"):
+                excess_finite(Hyperbola(a, 2.0 * a), 0.5 * a)
+        # at a^2 = 2^-1022, the smallest normal, the excess still scales with a
+        a = 2.0**-511
+        assert excess_finite(Hyperbola(a, 2.0 * a), 0.5 * a) == pytest.approx(
+            a * excess_finite(Hyperbola(1.0, 2.0), 0.5), rel=1e-15, abs=0.0
+        )
+
     def test_closed_values(self):
         assert excess_infinity_closed(Hyperbola(1.0, 1.0)) == pytest.approx(
             0.5990701173677961, abs=1e-13

@@ -206,12 +206,28 @@ def test_every_kernel_value_keeps_its_bits():
     assert differ == []
 
 
+def patch_walk(monkeypatch, replacement):
+    """Put ``replacement`` in place of ``_agm_steps`` under every name a
+    conicrect module binds the walk to; the names of those modules."""
+    walk = sys.modules["conicrect.agm"]._agm_steps
+    bound = sorted(
+        name
+        for name, module in list(sys.modules.items())
+        if name.startswith("conicrect.") and any(value is walk for value in vars(module).values())
+    )
+    for name in bound:
+        module = sys.modules[name]
+        for attr in [attr for attr, value in vars(module).items() if value is walk]:
+            monkeypatch.setattr(module, attr, replacement)
+    return bound
+
+
 def test_one_agm_walk_per_kernel_call(monkeypatch):
     # a second copy of the AGM step anywhere would walk without _agm_steps;
     # lemniscate's M(1, sqrt(2)) is walked once, at import; only agm() asks
-    # the walk for a record of its pairs
-    agm_module = sys.modules["conicrect.agm"]
-    walk = agm_module._agm_steps
+    # the walk for a record of its pairs.  The walk is counted under every
+    # name a conicrect module binds it to.
+    walk = sys.modules["conicrect.agm"]._agm_steps
     signature = inspect.signature(walk)
     walks = []
 
@@ -219,7 +235,7 @@ def test_one_agm_walk_per_kernel_call(monkeypatch):
         walks.append(signature.bind(*args, **kwargs).arguments.get("record") is not None)
         return walk(*args, **kwargs)
 
-    monkeypatch.setattr(agm_module, "_agm_steps", counted)
+    assert patch_walk(monkeypatch, counted) == ["conicrect.agm", "conicrect.conics", "conicrect.landen"]
     cases = [
         (complete_K, [(0.0,), (0.5,), (K_EDGE,)], 1),
         (complete_E, [(0.0,), (0.5,), (K_EDGE,)], 1),

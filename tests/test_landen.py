@@ -24,7 +24,7 @@ from conicrect import (
     upper_limit,
 )
 from conicrect import landen
-from test_kernel_bits import amplitude_map  # the walk's amplitude step, held test-side
+from test_kernel_bits import amplitude_map, patch_walk  # the walk's amplitude step, held test-side
 
 HALF_PI = 0.5 * math.pi
 
@@ -309,10 +309,9 @@ class TestBorwein:
         rng = random.Random(5)
         moduli = [0.0, 1.0 / 9.0, 1.0 - 1e-12] + [10.0 ** -rng.uniform(0.0, 12.0) for _ in range(100)]
         moduli += [1.0 - 10.0 ** -rng.uniform(0.3, 12.0) for _ in range(100)]
-        agm_module = sys.modules["conicrect.agm"]
-        walk = agm_module._legendre
+        walk = sys.modules["conicrect.agm"]._agm_steps
         walks = []
-        monkeypatch.setattr(agm_module, "_legendre", lambda *args: walks.append(args) or walk(*args))
+        assert patch_walk(monkeypatch, lambda *args: walks.append(args) or walk(*args))
         reports = [check_borwein(k) for k in moduli]
         assert len(walks) == sum(1 + (modulus_ascend(k) < 1.0) for k in moduli)
         monkeypatch.undo()

@@ -124,7 +124,7 @@ def _agm_steps(
             sines += c * s
         if diff <= _STOP_ABS or diff <= _STOP_REL * p or diff >= prev_diff:
             limit = 0.5 * (p + q)
-            F = 0.5 * math.pi / limit if phi is None else phi / (2.0 * weight * limit)
+            F = _HALF_PI / limit if phi is None else phi / (2.0 * weight * limit)
             return F, limit, tail, sines
         if weight >= _MAX_WEIGHT:
             raise ConvergenceError(f"agm failed to converge within {_MAX_STEPS} iterations")
@@ -245,7 +245,7 @@ def lemniscate(radius: float) -> LemniscateArcs:
     """
     if not 0.0 < radius < math.inf:
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
-    quarter_arc = 0.5 * math.pi * radius / _LEMNISCATE_M
+    quarter_arc = _HALF_PI * radius / _LEMNISCATE_M
     full_arc = 4.0 * quarter_arc
     if full_arc == math.inf:
         raise DomainError(f"the full arc overflows at radius {radius!r}")

@@ -210,15 +210,14 @@ def patch_walk(monkeypatch, replacement):
     """Put ``replacement`` in place of ``_agm_steps`` under every name a
     conicrect module binds the walk to; the names of those modules."""
     walk = sys.modules["conicrect.agm"]._agm_steps
-    bound = sorted(
-        name
-        for name, module in list(sys.modules.items())
-        if name.startswith("conicrect.") and any(value is walk for value in vars(module).values())
-    )
-    for name in bound:
-        module = sys.modules[name]
-        for attr in [attr for attr, value in vars(module).items() if value is walk]:
-            monkeypatch.setattr(module, attr, replacement)
+    bound = []
+    for name, module in sorted(sys.modules.items()):
+        if not name.startswith("conicrect."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is walk:
+                monkeypatch.setattr(module, attr, replacement)
+                bound.append(name)
     return bound
 
 

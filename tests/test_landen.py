@@ -24,7 +24,7 @@ from conicrect import (
     upper_limit,
 )
 from conicrect import landen
-from test_kernel_bits import amplitude_map, patch_walk  # the walk's amplitude step, held test-side
+from test_kernel_bits import amplitude_map, patch_walk  # amplitude_map: the walk's amplitude step, held test-side
 
 HALF_PI = 0.5 * math.pi
 
